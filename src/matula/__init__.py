@@ -7,7 +7,7 @@ extremal constructions with their number sequences, and searches that verify
 the extremal claims exactly at desk scale.
 """
 
-from ._kernel import BACKEND as SIEVE_BACKEND
+from ._sieve_py import BACKEND as SIEVE_BACKEND
 from .codec import decode, encode
 from .enumerator import DEFAULT_CAPS, EnumSpec, count_trees, enumerate_trees
 from .errors import (

@@ -1,10 +1,8 @@
-"""Pure-Python sieve kernel.
+"""Sieve kernel of the prime oracle, in pure Python.
 
-Fallback implementation of the segment kernel used by the prime oracle when
-the compiled extension (``matula._sieve_cy``) is unavailable.  The heavy
-lifting is delegated to bytearray slice assignment and ``itertools.compress``,
-both of which run at C speed, so this path stays usable up to 10^8-scale
-sieves (seconds rather than minutes).
+The heavy lifting is delegated to bytearray slice assignment and
+``itertools.compress``, both of which run at C speed, so this kernel stays
+usable up to 10^8-scale sieves (seconds rather than minutes).
 """
 
 from array import array
@@ -32,9 +30,9 @@ def simple_sieve(limit):
 def sieve_segment(lo, hi, base_primes):
     """Primes in [lo, hi) as an array('Q').
 
-    Contract shared with the compiled kernel: ``lo`` is odd and >= 3,
-    ``hi > lo``, and ``base_primes`` contains every prime <= isqrt(hi - 1).
-    Only odd candidates are represented internally.
+    Contract: ``lo`` is odd and >= 3, ``hi > lo``, and ``base_primes``
+    contains every prime <= isqrt(hi - 1).  Only odd candidates are
+    represented internally.
     """
     if lo < 3 or lo % 2 == 0:
         raise ValueError(f"segment must start at an odd value >= 3, got {lo}")

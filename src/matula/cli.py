@@ -14,29 +14,18 @@ import sys
 
 from . import extremal, primes, treetext
 from .codec import decode, encode
-from .enumerator import DEFAULT_CAPS, EnumSpec, count_trees, enumerate_trees
+from .enumerator import EnumSpec, count_trees, enumerate_trees
 from .errors import (
-    BadSize,
     DomainError,
     FactorOutOfRange,
     IndexOutOfRange,
     MatulaError,
-    NotPrime,
     SizeTooLarge,
-    TooFewBranches,
-    TreeSyntaxError,
     ValueOutOfRange,
 )
 from .trees import TreeClass, binary_caterpillar, params
 
 _RANGE_ERRORS = (IndexOutOfRange, ValueOutOfRange, FactorOutOfRange, SizeTooLarge)
-_USAGE_ERRORS = (
-    TreeSyntaxError,
-    NotPrime,
-    DomainError,
-    TooFewBranches,
-    BadSize,
-)
 
 
 def _build_parser():
@@ -121,10 +110,6 @@ def _emit(args, obj, plain):
         print(plain)
 
 
-def _parse_tree_arg(text):
-    return treetext.parse(text)
-
-
 def _six_figures(x: float) -> str:
     return f"{x:.5e}"
 
@@ -136,7 +121,7 @@ def _cmd_encode(args, oracle):
     else:
         texts = [args.tree]
     for text in texts:
-        n = encode(_parse_tree_arg(text), oracle)
+        n = encode(treetext.parse(text), oracle)
         _emit(args, {"matula": str(n)}, str(n))
     return 0
 
@@ -157,7 +142,7 @@ def _cmd_params(args, oracle):
     if raw.isdigit():
         t = decode(int(raw), oracle)
     else:
-        t = _parse_tree_arg(raw)
+        t = treetext.parse(raw)
     p = params(t)
     obj = {
         "vertices": p.vertices,
@@ -396,11 +381,11 @@ def run(argv=None) -> int:
         where = f" (offending index {detail})" if detail is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except MatulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: tree nesting too deep", file=sys.stderr)
         return 2
     finally:
         if args.prime_bound is not None:

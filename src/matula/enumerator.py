@@ -27,7 +27,7 @@ from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import DomainError, SizeTooLarge
 from .treetext import serialize
-from .trees import Tree, TreeClass, join, leaf
+from .trees import TreeClass, join, leaf
 
 DEFAULT_CAPS = {
     TreeClass.TOPOLOGICAL: 12,
@@ -80,67 +80,41 @@ def _ascending_partitions(n, min_first=1):
             yield (first,) + rest
 
 
-def _branch_multisets(parts, pool):
+def _branch_multisets(tree_class, parts):
     """All multisets of trees matching an ascending size partition."""
     groups = []
     for size, grp in groupby(parts):
         count = len(tuple(grp))
-        groups.append(combinations_with_replacement(pool(size), count))
+        groups.append(combinations_with_replacement(_pool(tree_class, size), count))
     for chosen in product(*groups):
         yield tuple(chain.from_iterable(chosen))
 
 
+def _branch_partitions(tree_class, n):
+    """Ascending branch-size partitions admissible for a root of size n."""
+    if tree_class is TreeClass.ROOTED:
+        return _ascending_partitions(n - 1)
+    if tree_class is TreeClass.BINARY:
+        return (parts for parts in _ascending_partitions(n) if len(parts) == 2)
+    return (parts for parts in _ascending_partitions(n) if len(parts) >= 2)
+
+
 @lru_cache(maxsize=None)
-def _topological(n):
+def _pool(tree_class, n):
+    """Every tree of the class and size, sorted by serialization."""
     if n == 1:
         return (leaf(),)
     out = []
-    for parts in _ascending_partitions(n):
-        if len(parts) < 2:
-            continue
-        for branches in _branch_multisets(parts, _topological):
+    for parts in _branch_partitions(tree_class, n):
+        for branches in _branch_multisets(tree_class, parts):
             out.append(join(*branches))
     return tuple(sorted(out, key=serialize))
-
-
-@lru_cache(maxsize=None)
-def _binary(n):
-    if n == 1:
-        return (leaf(),)
-    out = []
-    for a in range(1, n // 2 + 1):
-        b = n - a
-        if a == b:
-            pairs = combinations_with_replacement(_binary(a), 2)
-        else:
-            pairs = product(_binary(a), _binary(b))
-        for x, y in pairs:
-            out.append(join(x, y))
-    return tuple(sorted(out, key=serialize))
-
-
-@lru_cache(maxsize=None)
-def _rooted(n):
-    if n == 1:
-        return (leaf(),)
-    out = []
-    for parts in _ascending_partitions(n - 1):
-        for branches in _branch_multisets(parts, _rooted):
-            out.append(join(*branches))
-    return tuple(sorted(out, key=serialize))
-
-
-_GENERATORS = {
-    TreeClass.TOPOLOGICAL: _topological,
-    TreeClass.BINARY: _binary,
-    TreeClass.ROOTED: _rooted,
-}
 
 
 def enumerate_trees(spec: EnumSpec, cap=None):
     """Yield every tree of the class/size exactly once, canonically ordered."""
     _validate(spec, cap)
-    yield from _GENERATORS[spec.tree_class](spec.size)
+    yield from _pool(spec.tree_class, spec.size)
 
 
 def count_trees(spec: EnumSpec, cap=None) -> int:
@@ -158,18 +132,8 @@ def count_trees(spec: EnumSpec, cap=None) -> int:
 def _count(tree_class, n):
     if n == 1:
         return 1
-    if tree_class is TreeClass.ROOTED:
-        partitions = _ascending_partitions(n - 1)
-        min_parts = 1
-    else:
-        partitions = _ascending_partitions(n)
-        min_parts = 2
     total = 0
-    for parts in partitions:
-        if len(parts) < min_parts:
-            continue
-        if tree_class is TreeClass.BINARY and len(parts) != 2:
-            continue
+    for parts in _branch_partitions(tree_class, n):
         choices = 1
         for size, grp in groupby(parts):
             copies = len(tuple(grp))

@@ -5,7 +5,8 @@ queries for values below a configurable ceiling (``MATULA_PRIME_BOUND``
 environment variable, default 2^32).  The table of primes grows on demand and
 extension stops hard at the ceiling: a query that would need a prime beyond
 it raises rather than thrashes, because callers (tree encoders in particular)
-must be able to tell infeasible inputs apart from slow ones.
+must be able to tell infeasible inputs apart from slow ones.  Segments are
+sieved by the pure-Python kernel in ``_sieve_py``.
 
 The two analytic prime bounds used throughout the extremal searches live here
 as module functions: ``robin_lower`` (valid for every index m >= 2) and
@@ -14,11 +15,10 @@ as module functions: ``robin_lower`` (valid for every index m >= 2) and
 
 import os
 import threading
-from array import array
 from bisect import bisect_left, bisect_right
 from math import isqrt, log
 
-from . import _kernel, _sieve_py
+from . import _sieve_py
 from .errors import (
     DomainError,
     FactorOutOfRange,
@@ -107,7 +107,7 @@ class PrimeOracle:
     shared across parallel workers.
     """
 
-    def __init__(self, limit_value=None, kernel=None):
+    def __init__(self, limit_value=None):
         if limit_value is None:
             limit_value = int(os.environ.get(ENV_PRIME_BOUND, DEFAULT_PRIME_BOUND))
         if not 2 <= limit_value <= _HARD_VALUE_CAP:
@@ -115,7 +115,6 @@ class PrimeOracle:
                 f"limit_value must be in [2, {_HARD_VALUE_CAP}], got {limit_value}"
             )
         self._limit_value = int(limit_value)
-        self._kernel = kernel if kernel is not None else _kernel.sieve_backend()
         self._lock = threading.RLock()
         bootstrap = min(_BOOTSTRAP, self._limit_value)
         self._primes = _sieve_py.simple_sieve(bootstrap)
@@ -124,8 +123,7 @@ class PrimeOracle:
     def __repr__(self):
         return (
             f"PrimeOracle(limit_value={self._limit_value}, "
-            f"sieved_to={self._sieved_to}, cached={len(self._primes)}, "
-            f"backend={self._kernel.BACKEND!r})"
+            f"sieved_to={self._sieved_to}, cached={len(self._primes)})"
         )
 
     @property
@@ -155,16 +153,12 @@ class PrimeOracle:
                 hi = mid - 1
         return lo
 
-    @property
-    def backend(self) -> str:
-        return self._kernel.BACKEND
-
     # -- table growth ------------------------------------------------------
 
     def _extend_to_value(self, target):
         """Sieve every value < target (clamped to the ceiling).
 
-        Segment lower bounds must stay odd (the kernels represent odd
+        Segment lower bounds must stay odd (the kernel represents odd
         candidates only), so non-terminal extension boundaries are rounded
         up to odd; the one allowed even boundary is the ceiling itself,
         after which no further extension can happen.
@@ -181,7 +175,7 @@ class PrimeOracle:
             lo = self._sieved_to
             hi = min(lo + _SEGMENT_SPAN, target)
             base_count = bisect_right(self._primes, isqrt(hi - 1))
-            segment = self._kernel.sieve_segment(lo, hi, self._primes[:base_count])
+            segment = _sieve_py.sieve_segment(lo, hi, self._primes[:base_count])
             self._primes.extend(segment)
             self._sieved_to = hi
 

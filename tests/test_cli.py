@@ -244,3 +244,16 @@ def test_json_mode_streams_objects(capsys):
     assert code == 0
     assert all(rec["holds"] for rec in records)
     assert {(rec["k1"], rec["k2"]) for rec in records} >= {(1, 3), (2, 2)}
+
+
+@pytest.mark.parametrize("command", ["encode", "params"])
+def test_deep_tree_is_a_usage_error(command):
+    deep = "(" * 3000 + "*" + ")" * 3000
+    proc = subprocess.run(
+        [sys.executable, "-m", "matula.cli", command, deep],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: tree nesting too deep\n"

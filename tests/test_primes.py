@@ -14,7 +14,6 @@ from matula import (
     rosser_schoenfeld_upper,
 )
 from matula import _sieve_py
-from matula._kernel import available_backends
 
 from oracles import MonolithicSieve, naive_nth_prime
 
@@ -188,20 +187,17 @@ def test_constructor_validation():
         PrimeOracle(limit_value=2**60)
 
 
-def test_backends_agree_on_segments():
+def test_segment_matches_monolithic_sieve():
     base = _sieve_py.simple_sieve(1000)
     reference = MonolithicSieve(500_000)
     expected = [p for p in range(65537, 200_001) if reference.flags[p]]
-    for kernel in available_backends():
-        got = list(kernel.sieve_segment(65537, 200_001, base))
-        assert got == expected
+    assert list(_sieve_py.sieve_segment(65537, 200_001, base)) == expected
 
 
 def test_segment_rejects_even_start():
     base = _sieve_py.simple_sieve(1000)
-    for kernel in available_backends():
-        with pytest.raises(ValueError):
-            kernel.sieve_segment(65538, 70000, base)
+    with pytest.raises(ValueError):
+        _sieve_py.sieve_segment(65538, 70000, base)
 
 
 def test_extension_alignment_is_history_independent():
@@ -215,5 +211,7 @@ def test_extension_alignment_is_history_independent():
     assert list(jagged.primes_up_to_index(m)) == list(straight.primes_up_to_index(m))
 
 
-def test_oracle_repr_mentions_backend(oracle):
-    assert "backend=" in repr(oracle)
+def test_oracle_repr_shows_ceiling_and_reach():
+    text = repr(PrimeOracle(limit_value=10**6))
+    assert "limit_value=1000000" in text
+    assert "sieved_to=65537" in text
