@@ -13,8 +13,9 @@ from .primes import default_oracle
 from .trees import Tree, leaf, matula_number
 
 # decode is shared-subtree heavy (every composite reuses the trees of its
-# factor indices), so small results are interned per oracle; scoping the
-# memo to the oracle keeps its range-error contract history-independent.
+# factor indices), so results with keys up to this bound are interned in the
+# oracle's ``_decode_cache``; scoping the memo to the oracle keeps its
+# range-error contract history-independent.
 _DECODE_CACHE_MAX_KEY = 1 << 20
 
 
@@ -33,11 +34,7 @@ def decode(n: int, oracle=None) -> Tree:
         raise MatulaError(f"Matula numbers start at 1, got {n}")
     if oracle is None:
         oracle = default_oracle()
-    try:
-        cache = oracle._decode_cache
-    except AttributeError:
-        cache = oracle._decode_cache = {}
-    return _decode(n, oracle, cache)
+    return _decode(n, oracle, oracle._decode_cache)
 
 
 def _decode(n, oracle, cache):

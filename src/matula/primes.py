@@ -1,12 +1,26 @@
-"""Exact prime-sequence queries backed by a lazily grown segmented sieve.
+"""Exact prime-sequence queries: a sieved prefix, sublinear routes past it.
 
 The oracle answers nth-prime, prime-index, prime-counting and factorization
 queries for values below a configurable ceiling (``MATULA_PRIME_BOUND``
-environment variable, default 2^32).  The table of primes grows on demand and
-extension stops hard at the ceiling: a query that would need a prime beyond
-it raises rather than thrashes, because callers (tree encoders in particular)
-must be able to tell infeasible inputs apart from slow ones.  Segments are
-sieved by the pure-Python kernel in ``_sieve_py``.
+environment variable, default 2^32).  A query that would need a prime beyond
+the ceiling raises rather than thrashes, because callers (tree encoders in
+particular) must be able to tell infeasible inputs apart from slow ones.
+
+Values up to 2^24 are answered from a table of primes that grows on demand,
+sieved in segments by the pure-Python kernel in ``_sieve_py``.  The table is
+a cache of that prefix and never grows past it (about 1.08 M primes, 8.6 MB).
+Past the prefix no table is kept:
+
+* pi(x) is counted by the Lucy_Hedgehog method in O(x^(3/4)) time and
+  O(sqrt x) memory;
+* the m-th prime is found by inverting li(x) to an estimate x0, counting
+  pi(x0), then sieving bounded windows from x0 until the count reaches m;
+* factorization trial-divides by the primes up to 2^16 only, then certifies
+  the cofactor by Miller-Rabin or splits it by Pollard-Brent rho.
+
+So the ceiling bounds run time, not memory.  Answers past the prefix are
+kept in one small bounded memo per oracle, because tree codecs and
+enumerations ask for the same indices again and again.
 
 The two analytic prime bounds used throughout the extremal searches live here
 as module functions: ``robin_lower`` (valid for every index m >= 2) and
@@ -16,7 +30,8 @@ as module functions: ``robin_lower`` (valid for every index m >= 2) and
 import os
 import threading
 from bisect import bisect_left, bisect_right
-from math import isqrt, log
+from itertools import groupby, islice
+from math import gcd, isqrt, log, sqrt
 
 from . import _sieve_py
 from .errors import (
@@ -33,16 +48,39 @@ DEFAULT_PRIME_BOUND = 2**32
 # Ceiling above which array('Q') storage and p*p arithmetic are not validated.
 _HARD_VALUE_CAP = 2**52
 
-# Bootstrap sieve size; covers sqrt of the default ceiling so segment marking
-# never needs base primes it does not already have.
+# Bootstrap sieve size; covers sqrt of every value the prefix holds, so
+# segment marking never needs base primes it does not already have.  Its
+# primes are also factorize's trial divisors.
 _BOOTSTRAP = 1 << 16
+
+# The sieved table caches the primes up to this value and never grows past
+# it: at most 1,077,871 primes (8.6 MB).  That covers every prime a tree
+# codec needs while its prime indices stay below 10^6 (p_1000000 = 15485863).
+_PREFIX_CAP = 1 << 24
 
 # Values per lazy extension step (even, so segment bounds stay odd-aligned).
 _SEGMENT_SPAN = 1 << 23
 
+# Values per window when walking from an estimate to an nth prime past the
+# prefix.  The li(x) estimate falls short of p_m by about 1.4 * 10^4 values at
+# x = 10^8 and 5 * 10^4 at x = 2 * 10^9, so one window usually closes the gap.
+# Bulk sieving past the prefix uses _SEGMENT_SPAN, which costs less per value.
+_WINDOW_SPAN = 1 << 17
+
+# Entries of the per-oracle memo of answers past the prefix.
+_FAR_MEMO_SIZE = 4096
+
+# Pollard-Brent rho: steps per cofactor over all seeds before falling back to
+# trial division, and steps per gcd.  A prime factor p is found after about
+# sqrt(p) steps, so the budget covers factors far past the default ceiling.
+_RHO_BUDGET = 1 << 20
+_RHO_BATCH = 128
+
 # Strong-pseudoprime witnesses proven sufficient for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
+
+_EULER_GAMMA = 0.5772156649015329
 
 
 def robin_lower(m):
@@ -99,12 +137,109 @@ def is_prime_certified(n: int) -> bool:
     return True
 
 
+def _lucy_count(x):
+    """pi(x) by the Lucy_Hedgehog method: O(x^(3/4)) time, O(sqrt x) memory.
+
+    ``small[v]`` and ``large[i]`` hold S(v) and S(x // i) for v, i <= sqrt x,
+    where S(v) counts the integers in [2, v] that survive sieving by the
+    primes below p.  Sieving by p lowers S(v) by S(v // p) - S(p - 1) for
+    every v >= p^2; values are updated in decreasing order of v, so every
+    S(v // p) read is still from the previous round.  Each round is a few
+    list comprehensions, which keeps the per-value work in C.
+    """
+    r = isqrt(x)
+    small = list(range(-1, r))
+    small[0] = 0
+    large = [0] + [x // i - 1 for i in range(1, r + 1)]
+    for p in range(2, r + 1):
+        below = small[p - 1]
+        if small[p] == below:
+            continue  # p is composite
+        p2 = p * p
+        top = min(r, x // p2)
+        # For i <= r // p, x // (i p) is a large entry; beyond it, a small one.
+        mid = min(top, r // p)
+        large[1 : mid + 1] = [
+            a - b + below for a, b in zip(large[1 : mid + 1], large[p : mid * p + 1 : p])
+        ]
+        xp = x // p
+        large[mid + 1 : top + 1] = [
+            a - small[xp // i] + below
+            for i, a in zip(range(mid + 1, top + 1), large[mid + 1 : top + 1])
+        ]
+        if p2 <= r:
+            small[p2 : r + 1] = [
+                a - small[v // p] + below for v, a in zip(range(p2, r + 1), small[p2 : r + 1])
+            ]
+    return large[1]
+
+
+def _li(x):
+    """The logarithmic integral li(x) for x > 1, by Ramanujan's series."""
+    ln_x = log(x)
+    total, term, harmonic = 0.0, -2.0, 0.0
+    for n in range(1, 100):
+        term *= -ln_x / (2 * n)  # (-1)^(n-1) ln(x)^n / (n! 2^(n-1))
+        if n % 2:
+            harmonic += 1.0 / n  # sum of 1/(2k+1) for 2k+1 <= n
+        total += term * harmonic
+    return _EULER_GAMMA + log(ln_x) + sqrt(x) * total
+
+
+def _li_inverse(m):
+    """The x with li(x) = m, for m >= 2, by Newton's method from m ln m."""
+    x = m * log(m)
+    for _ in range(8):
+        x -= (_li(x) - m) * log(x)
+    return x
+
+
+def _pollard_brent(n):
+    """A proper factor of the composite n, or None once _RHO_BUDGET steps
+    are spent.
+
+    Brent's variant of Pollard's rho (Brent 1980, BIT 20): the maps
+    x -> x^2 + c for c = 1, 2, ..., each started from 2, with one gcd per
+    batch of _RHO_BATCH steps.  The seeds are fixed, so every run gives the
+    same factor.
+    """
+    steps = 0
+    c = 0
+    while steps < _RHO_BUDGET:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps >= _RHO_BUDGET:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the last batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    return None
+
+
 class PrimeOracle:
-    """Sieve-backed prime table with a hard value ceiling.
+    """Prime queries under a hard value ceiling, over a sieved prefix cache.
 
     Read queries are safe for concurrent use once the covering segment
-    exists; table extension is serialized internally, so one oracle can be
-    shared across parallel workers.
+    exists; table extension and the memo past the prefix are serialized
+    internally, so one oracle can be shared across parallel workers.
     """
 
     def __init__(self, limit_value=None):
@@ -118,7 +253,14 @@ class PrimeOracle:
         self._lock = threading.RLock()
         bootstrap = min(_BOOTSTRAP, self._limit_value)
         self._primes = _sieve_py.simple_sieve(bootstrap)
+        self._trial_count = len(self._primes)
         self._sieved_to = bootstrap + 1  # every value below this is settled
+        # The table never covers values at or past this.
+        self._prefix_end = min(self._limit_value, _PREFIX_CAP) + 1
+        self._far = {}  # ("nth", m) -> p_m and ("pi", x) -> pi(x) past the prefix
+        self._count_at_ceiling = None
+        # codec.decode's memo of small results; see codec._DECODE_CACHE_MAX_KEY.
+        self._decode_cache = {}
 
     def __repr__(self):
         return (
@@ -153,41 +295,95 @@ class PrimeOracle:
                 hi = mid - 1
         return lo
 
-    # -- table growth ------------------------------------------------------
+    # -- the sieved prefix -------------------------------------------------
 
     def _extend_to_value(self, target):
-        """Sieve every value < target (clamped to the ceiling).
+        """Sieve every value < target into the table (clamped to the prefix).
 
         Segment lower bounds must stay odd (the kernel represents odd
         candidates only), so non-terminal extension boundaries are rounded
-        up to odd; the one allowed even boundary is the ceiling itself,
+        up to odd; the one allowed even boundary is the end of the prefix,
         after which no further extension can happen.
         """
-        target = min(target, self._limit_value + 1)
+        target = min(target, self._prefix_end)
         if target <= self._sieved_to:
             return
-        if target % 2 == 0 and target <= self._limit_value:
+        if target % 2 == 0 and target < self._prefix_end:
             target += 1
-        need_base = isqrt(target - 1)
-        if need_base >= self._sieved_to:
-            self._extend_to_value(need_base + 1)
         while self._sieved_to < target:
             lo = self._sieved_to
             hi = min(lo + _SEGMENT_SPAN, target)
-            base_count = bisect_right(self._primes, isqrt(hi - 1))
-            segment = _sieve_py.sieve_segment(lo, hi, self._primes[:base_count])
-            self._primes.extend(segment)
+            self._primes.extend(_sieve_py.sieve_segment(lo, hi, self._primes))
             self._sieved_to = hi
 
     def _grow_to_index(self, m):
-        """Extend until at least m primes are cached or the ceiling is hit."""
-        while len(self._primes) < m and self._sieved_to <= self._limit_value:
+        """Extend until at least m primes are cached or the prefix is full."""
+        while len(self._primes) < m and self._sieved_to < self._prefix_end:
             if m >= 20:
                 estimate = int(rosser_schoenfeld_upper(m)) + 2
             else:
                 estimate = 100
             target = max(estimate, self._sieved_to + _SEGMENT_SPAN)
             self._extend_to_value(target)
+
+    # -- past the prefix ---------------------------------------------------
+
+    def _window(self, lo, hi):
+        """The primes in [lo, hi) for 2 < lo < hi, sieved without caching
+        them."""
+        root = isqrt(hi - 1)
+        self._extend_to_value(root + 1)
+        base = self._primes if root < self._sieved_to else _sieve_py.simple_sieve(root)
+        # lo > 2, so an even lo is no prime and may be skipped.
+        return _sieve_py.sieve_segment(lo | 1, hi, base)
+
+    def _remember(self, key, value):
+        if len(self._far) >= _FAR_MEMO_SIZE:
+            del self._far[next(iter(self._far))]
+        self._far[key] = value
+
+    def _refusal(self, m):
+        return IndexOutOfRange(
+            f"prime index {m} is not answerable under ceiling "
+            f"{self._limit_value}; raise the bound or abandon",
+            index=m,
+            limit_value=self._limit_value,
+        )
+
+    def _nth_past_prefix(self, m):
+        """p_m for a prime past the prefix: pi at the li(x) estimate x0 of
+        p_m, then sieved windows outward from x0 until the count is m."""
+        p = self._far.get(("nth", m))
+        if p is not None:
+            return p
+        if rosser_schoenfeld_upper(m) * (1 + 1e-12) > self._limit_value:
+            if self._count_at_ceiling is None:
+                self._count_at_ceiling = self.prime_count(self._limit_value)
+            if m > self._count_at_ceiling:
+                raise self._refusal(m)
+        x = min(max(int(_li_inverse(m)), _PREFIX_CAP), self._limit_value)
+        count = self.prime_count(x)
+        if count < m:  # p_m > x: walk up
+            lo = x + 1
+            while True:
+                found = self._window(lo, lo + _WINDOW_SPAN)
+                if len(found) >= m - count:
+                    break
+                count += len(found)
+                lo += _WINDOW_SPAN
+        else:  # p_m <= x: walk down; count - m primes lie in (p_m, x]
+            hi = x + 1
+            while True:
+                found = self._window(hi - _WINDOW_SPAN, hi)
+                if len(found) > count - m:
+                    break
+                count -= len(found)
+                hi -= _WINDOW_SPAN
+        # Walking up, found[0] is p_(count+1); walking down, found[-1] is p_count.
+        p = found[m - count - 1]
+        self._remember(("nth", m), p)
+        self._remember(("pi", p), m)
+        return p
 
     # -- queries -----------------------------------------------------------
 
@@ -199,22 +395,16 @@ class PrimeOracle:
             if m <= len(self._primes):
                 return self._primes[m - 1]
             # Fast refusal when the lower bound already clears the ceiling.
-            if m >= 2 and robin_lower(m) * (1 - 1e-12) > self._limit_value:
-                raise IndexOutOfRange(
-                    f"prime index {m} is not answerable under ceiling "
-                    f"{self._limit_value}; raise the bound or abandon",
-                    index=m,
-                    limit_value=self._limit_value,
-                )
-            self._grow_to_index(m)
-            if m > len(self._primes):
-                raise IndexOutOfRange(
-                    f"prime index {m} is not answerable under ceiling "
-                    f"{self._limit_value}; raise the bound or abandon",
-                    index=m,
-                    limit_value=self._limit_value,
-                )
-            return self._primes[m - 1]
+            lower = robin_lower(m)
+            if lower * (1 - 1e-12) > self._limit_value:
+                raise self._refusal(m)
+            if lower <= _PREFIX_CAP:
+                self._grow_to_index(m)
+                if m <= len(self._primes):
+                    return self._primes[m - 1]
+            if self._prefix_end > self._limit_value:
+                raise self._refusal(m)
+            return self._nth_past_prefix(m)
 
     def prime_index(self, p: int) -> int:
         """The m with nth_prime(m) == p; total inverse on primes in range."""
@@ -226,11 +416,14 @@ class PrimeOracle:
             )
         if p < 2:
             raise NotPrime(f"{p} is below the first prime", value=p)
-        with self._lock:
-            self._extend_to_value(p + 1)
-            i = bisect_left(self._primes, p)
-            if i < len(self._primes) and self._primes[i] == p:
-                return i + 1
+        if p < self._prefix_end:
+            with self._lock:
+                self._extend_to_value(p + 1)
+                i = bisect_left(self._primes, p)
+                if i < len(self._primes) and self._primes[i] == p:
+                    return i + 1
+        elif is_prime_certified(p):
+            return self.prime_count(p)
         raise NotPrime(f"{p} is composite", value=p)
 
     def prime_count(self, x: int) -> int:
@@ -244,8 +437,14 @@ class PrimeOracle:
         if x < 2:
             return 0
         with self._lock:
-            self._extend_to_value(x + 1)
-            return bisect_right(self._primes, x)
+            if x < self._prefix_end:
+                self._extend_to_value(x + 1)
+                return bisect_right(self._primes, x)
+            count = self._far.get(("pi", x))
+            if count is None:
+                count = _lucy_count(x)
+                self._remember(("pi", x), count)
+            return count
 
     def is_prime(self, n: int) -> bool:
         """Primality by table lookup when covered, certified test otherwise."""
@@ -258,19 +457,31 @@ class PrimeOracle:
         return is_prime_certified(n)
 
     def primes_up_to_index(self, m: int):
-        """A copy of the first m primes (array('Q')); grows the table."""
-        self.nth_prime(m)
+        """A copy of the first m primes (array('Q')).
+
+        Grows the table as far as the prefix allows; primes past the prefix
+        are sieved into the copy only.
+        """
+        last = self.nth_prime(m)
         with self._lock:
-            return self._primes[:m]
+            if m > len(self._primes):
+                self._extend_to_value(self._prefix_end)
+            out = self._primes[:m]
+            lo = self._sieved_to
+            while len(out) < m:
+                out.extend(self._window(lo, min(lo + _SEGMENT_SPAN, last + 1)))
+                lo += _SEGMENT_SPAN
+            return out
 
     def factorize(self, n: int):
         """Prime decomposition of n as [(prime, exponent), ...], ascending.
 
-        Trial division by sieved primes up to sqrt(n) (the table is extended
-        lazily, and only while the remaining cofactor fails a certified
-        primality test), then a certified primality check on whatever
-        cofactor remains.  FactorOutOfRange when the cofactor can neither be
-        split in range nor certified prime.
+        Trial division by the primes p <= 2^16 while p^2 <= the remaining
+        cofactor; whatever cofactor is left is certified prime by
+        Miller-Rabin or split by Pollard-Brent rho, every factor certified in
+        turn.  FactorOutOfRange when two or more prime factors, counted with
+        multiplicity, lie above the ceiling (``cofactor`` is their product),
+        or when a cofactor is too large to certify.
         """
         if n < 1:
             raise DomainError(f"factorize needs n >= 1, got {n}")
@@ -278,19 +489,7 @@ class PrimeOracle:
         rem = n
         proven_prime = False  # cofactor primality established by trial division
         with self._lock:
-            i = 0
-            while rem > 1:
-                if i >= len(self._primes):
-                    if self._sieved_to > isqrt(rem):
-                        proven_prime = True
-                        break
-                    if self._sieved_to > self._limit_value or is_prime_certified(rem):
-                        break
-                    self._extend_to_value(
-                        min(isqrt(rem) + 2, self._sieved_to + _SEGMENT_SPAN)
-                    )
-                    continue
-                p = self._primes[i]
+            for p in islice(self._primes, self._trial_count):
                 if p * p > rem:
                     proven_prime = True
                     break
@@ -300,17 +499,66 @@ class PrimeOracle:
                         rem //= p
                         e += 1
                     out.append((p, e))
-                i += 1
-        if rem > 1:
-            if not proven_prime and not is_prime_certified(rem):
-                raise FactorOutOfRange(
-                    f"cofactor {rem} of {n} has no prime factor below the "
-                    f"ceiling {self._limit_value} and is not certifiably prime",
-                    value=n,
-                    cofactor=rem,
-                )
-            out.append((rem, 1))
+            if rem > 1:
+                if proven_prime:
+                    out.append((rem, 1))
+                else:
+                    factors = self._split(n, rem)
+                    out.extend((p, len(list(run))) for p, run in groupby(factors))
         return out
+
+    def _split(self, n, rem):
+        """The prime factors of rem, ascending with multiplicity, where rem
+        has no prime factor among the trial divisors; FactorOutOfRange when
+        two or more of them lie past the ceiling."""
+        factors = []
+        above = 1  # the product of the prime factors past the ceiling
+        past = 0  # how many prime factors it holds, at least
+        stack = [rem]
+        while stack:
+            c = stack.pop()
+            if is_prime_certified(c):
+                if c <= self._limit_value:
+                    factors.append(c)
+                else:
+                    above *= c
+                    past += 1
+                continue
+            d = _pollard_brent(c) or self._least_factor(c)
+            if d is None:  # composite, and every prime factor lies past the ceiling
+                above *= c
+                past += 2
+                continue
+            stack += (d, c // d)
+        if past > 1:
+            raise FactorOutOfRange(
+                f"cofactor {above} of {n} has no prime factor below the "
+                f"ceiling {self._limit_value} and is not certifiably prime",
+                value=n,
+                cofactor=above,
+            )
+        if past:
+            factors.append(above)
+        return sorted(factors)
+
+    def _least_factor(self, c):
+        """The least prime factor of c up to min(sqrt c, ceiling), by trial
+        division over the table and then windows past it; None if c has
+        none."""
+        bound = min(isqrt(c), self._limit_value)
+        self._extend_to_value(bound + 1)
+        for p in self._primes:
+            if p > bound:
+                return None
+            if c % p == 0:
+                return p
+        lo = self._sieved_to
+        while lo <= bound:
+            for p in self._window(lo, min(lo + _SEGMENT_SPAN, bound + 1)):
+                if c % p == 0:
+                    return p
+            lo += _SEGMENT_SPAN
+        return None
 
 
 _default_oracle = None

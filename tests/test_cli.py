@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -236,6 +237,36 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "42\n"
+
+
+# Runs argv[1:] and reports its exit code and peak RSS (KiB) from wait4 as
+# the last stderr line.  The measured process is started from this small
+# launcher, not from the test process: a child's peak RSS counts the memory
+# of the process it was forked from.
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_nth_prime_past_the_prefix_in_bounded_memory():
+    env = dict(os.environ)
+    env.pop("MATULA_PRIME_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
+         sys.executable, "-m", "matula.cli", "primes", "nth", "100000000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    code, max_rss_kib = map(int, proc.stderr.split()[-2:])
+    assert code == 0, proc.stderr
+    assert proc.stdout == "2038074743\n"
+    assert max_rss_kib / 1024 <= 150
 
 
 def test_json_mode_streams_objects(capsys):

@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+from math import isqrt
 
 import pytest
 
@@ -13,7 +17,7 @@ from matula import (
     robin_lower,
     rosser_schoenfeld_upper,
 )
-from matula import _sieve_py
+from matula import _sieve_py, primes
 
 from oracles import MonolithicSieve, naive_nth_prime
 
@@ -215,3 +219,190 @@ def test_oracle_repr_shows_ceiling_and_reach():
     text = repr(PrimeOracle(limit_value=10**6))
     assert "limit_value=1000000" in text
     assert "sieved_to=65537" in text
+
+
+# -- past the sieved prefix: Lucy_Hedgehog pi, windowed nth prime, rho -------
+
+PI_2_24 = 1_077_871  # pi(2^24): the last index the sieved prefix holds
+
+
+@pytest.fixture(scope="module")
+def big_sieve():
+    """A flat sieve over [0, 2 * 10^8] (200 MB), the independent route."""
+    return MonolithicSieve(2 * 10**8)
+
+
+def test_lucy_pi_matches_monolithic_sieve(big_sieve):
+    rng = random.Random(7)
+    points = [2, 3, 10, 2**16, 2**24 - 1, 2**24, 2**24 + 1, 2 * 10**8]
+    points += [rng.randrange(2**24, 2 * 10**8) for _ in range(4)]
+    oracle = PrimeOracle()
+    for x in points:
+        # Past 2^24 the oracle counts by Lucy; below it, by its table.
+        assert oracle.prime_count(x) == big_sieve.count(x), x
+        if x <= 2**24:
+            assert primes._lucy_count(x) == big_sieve.count(x), x
+
+
+def test_lucy_pi_published_values():
+    oracle = PrimeOracle()
+    assert oracle.prime_count(10**9) == 50_847_534
+    assert oracle.prime_count(2**32) == 203_280_221
+
+
+def test_nth_prime_and_index_across_the_prefix_cap(big_sieve):
+    assert big_sieve.count(2**24) == PI_2_24
+    for m in (PI_2_24 - 1, PI_2_24, PI_2_24 + 1, 5_761_455, 11_078_937):
+        p = big_sieve.nth(m)
+        # A fresh oracle per route, so neither answer comes from the memo.
+        assert PrimeOracle().nth_prime(m) == p, m
+        assert PrimeOracle().prime_index(p) == m, m
+    with pytest.raises(NotPrime):
+        PrimeOracle().prime_index(99_999_991)  # 7 * 13 * 769 * 1429
+
+
+def test_index_out_of_range_just_past_pi_of_ceiling(big_sieve):
+    oracle = PrimeOracle(limit_value=2 * 10**8)
+    last = big_sieve.count(2 * 10**8)
+    assert oracle.nth_prime(last) == big_sieve.nth(last)
+    with pytest.raises(IndexOutOfRange) as err:
+        oracle.nth_prime(last + 1)
+    assert err.value.index == last + 1
+    assert err.value.limit_value == 2 * 10**8
+
+
+def test_prefix_stays_capped():
+    oracle = PrimeOracle()
+    m = PI_2_24 + 3000
+    table = oracle.primes_up_to_index(m)
+    assert len(table) == m
+    assert table[m - 1] == oracle.nth_prime(m)
+    assert all(a < b for a, b in zip(table[PI_2_24 - 5 :], table[PI_2_24 - 4 :]))
+    assert table[PI_2_24 - 1] == 16_777_213 and table[PI_2_24] == 16_777_259
+    # The copy came from windows; the cached prefix did not grow past 2^24.
+    assert f"sieved_to={2**24 + 1}," in repr(oracle)
+    oracle.nth_prime(10**8)
+    assert f"cached={PI_2_24})" in repr(oracle)
+
+
+def test_far_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(primes, "_FAR_MEMO_SIZE", 4)
+    oracle = PrimeOracle()
+    for m in range(2_000_000, 2_000_006):
+        assert oracle.prime_index(oracle.nth_prime(m)) == m
+    assert len(oracle._far) <= 4
+
+
+def test_sympy_agrees_past_the_prefix():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    oracle = PrimeOracle()
+    for _ in range(2):
+        m = rng.randrange(PI_2_24, 203_280_221)
+        p = oracle.nth_prime(m)
+        assert p == sympy.prime(m), m
+        x = rng.randrange(2**24, 2**32)
+        assert oracle.prime_count(x) == sympy.primepi(x), x
+
+
+def _next_prime_by_trial_division(n):
+    while any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def test_factorize_products_of_25_bit_primes(oracle):
+    rng = random.Random(3)
+    for _ in range(4):
+        p = _next_prime_by_trial_division(rng.randrange(2**24, 2**25))
+        q = _next_prime_by_trial_division(rng.randrange(p, 2**25))
+        expected = [(p, 2)] if p == q else [(p, 1), (q, 1)]
+        assert oracle.factorize(p * q) == expected
+        assert oracle.factorize(p * p * q) == ([(p, 3)] if p == q else [(p, 2), (q, 1)])
+
+
+def test_factorize_large_prime_without_trial_division(oracle):
+    assert oracle.factorize(10**15 + 37) == [(10**15 + 37, 1)]
+    assert oracle.factorize(2 * 3 * (10**15 + 37)) == [(2, 1), (3, 1), (10**15 + 37, 1)]
+
+
+def test_factorize_ceiling_contract():
+    small = PrimeOracle(limit_value=1000)
+    # Exactly one prime factor above the ceiling: answered.
+    assert small.factorize(4 * 1013) == [(2, 2), (1013, 1)]
+    # Two or more, counted with multiplicity: refused, cofactor their product.
+    for n, cofactor in ((1009 * 1013, 1009 * 1013), (7 * 1009**2, 1009**2),
+                        (3 * 1009 * 1013 * 1019, 1009 * 1013 * 1019)):
+        with pytest.raises(FactorOutOfRange) as err:
+            small.factorize(n)
+        assert err.value.cofactor == cofactor
+        assert err.value.value == n
+    # Two factors past the default ceiling (the two primes after 2^32).
+    with pytest.raises(FactorOutOfRange) as err:
+        PrimeOracle().factorize(4_294_967_311 * 4_294_967_357)
+    assert err.value.cofactor == 4_294_967_311 * 4_294_967_357
+    # A cofactor too large to certify still raises (2^89 - 1 is prime).
+    with pytest.raises(FactorOutOfRange):
+        PrimeOracle().factorize(2**89 - 1)
+
+
+def test_factorize_recomposes_at_scale(oracle):
+    rng = random.Random(5)
+    for digits in range(6, 19):
+        for _ in range(4):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            product = 1
+            previous = 0
+            for p, e in oracle.factorize(n):
+                assert p > previous and e >= 1
+                assert is_prime_certified(p)
+                previous = p
+                product *= p**e
+            assert product == n
+
+
+def test_factorize_falls_back_to_trial_division_when_rho_gives_up(monkeypatch):
+    monkeypatch.setattr(primes, "_RHO_BUDGET", 0)
+    oracle = PrimeOracle()
+    assert oracle.factorize(65537 * 65539) == [(65537, 1), (65539, 1)]
+    # Past the prefix: the least factor comes from a sieved window.
+    assert oracle.factorize(16_777_259 * 16_777_289) == [(16_777_259, 1), (16_777_289, 1)]
+    with pytest.raises(FactorOutOfRange) as err:
+        PrimeOracle(limit_value=10**5).factorize(100_003 * 100_019)
+    assert err.value.cofactor == 100_003 * 100_019
+
+
+def test_shared_oracle_under_threads(monkeypatch):
+    # More threads than cores, a short switch interval and a memo small
+    # enough to evict while others read it.
+    monkeypatch.setattr(primes, "_FAR_MEMO_SIZE", 8)
+    indices = [PI_2_24 + k for k in range(0, 4000, 250)]
+    reference = PrimeOracle()
+    expected = {m: reference.nth_prime(m) for m in indices}
+    # A ceiling just past every answer, so refusals also race on the lazily
+    # counted pi(ceiling).
+    shared = PrimeOracle(limit_value=17_000_000)
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(len(indices)):
+                m = indices[(i + offset) % len(indices)]
+                p = shared.nth_prime(m)
+                assert p == expected[m], m
+                assert shared.prime_index(p) == m, m
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
