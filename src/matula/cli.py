@@ -11,6 +11,7 @@ figures.  With --json every result line is a single JSON object.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import extremal, primes, treetext
 from .codec import decode, encode
@@ -115,7 +116,6 @@ def _six_figures(x: float) -> str:
 
 
 def _cmd_encode(args, oracle):
-    texts = []
     if args.tree == "-":
         texts = [line.strip() for line in sys.stdin if line.strip()]
     else:
@@ -139,26 +139,18 @@ def _cmd_decode(args, oracle):
 
 def _cmd_params(args, oracle):
     raw = args.tree_or_number.strip()
-    if raw.isdigit():
+    if raw.isdecimal():
         t = decode(int(raw), oracle)
     else:
         t = treetext.parse(raw)
     p = params(t)
-    obj = {
-        "vertices": p.vertices,
-        "leaves": p.leaves,
-        "height": p.height,
-        "max_outdegree": p.max_outdegree,
-        "outdegree_multiset": list(p.outdegree_multiset),
-        "wiener": p.wiener,
-    }
     plain = (
         f"vertices={p.vertices} leaves={p.leaves} height={p.height} "
         f"max_outdegree={p.max_outdegree} "
         f"outdegrees={','.join(map(str, p.outdegree_multiset))} "
         f"wiener={p.wiener}"
     )
-    _emit(args, obj, plain)
+    _emit(args, asdict(p), plain)
     return 0
 
 
@@ -226,74 +218,51 @@ def _verify_lemma1(args, oracle):
     return 0 if ok else 4
 
 
+def _verdict(args, fields, ok):
+    """Emit one verification result: ``fields`` as key=value pairs, then ok
+    or MISMATCH; exit code 0 or 4."""
+    plain = " ".join(f"{key}={value}" for key, value in fields.items())
+    _emit(args, {**fields, "ok": ok}, f"{plain} {'ok' if ok else 'MISMATCH'}")
+    return 0 if ok else 4
+
+
 def _verify_max_topological(args, oracle):
     n = args.leaves
-    spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n)
-    report = extremal.exhaustive_max(spec, oracle)
+    report = extremal.exhaustive_max(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n), oracle)
     expected_value = extremal.caterpillar_numbers(n, oracle)[-1]
-    expected_tree = binary_caterpillar(n)
-    ok = report.optimum == expected_value and report.witness == expected_tree
-    _emit(
-        args,
-        {
-            "leaves": n,
-            "maximum": str(report.optimum),
-            "witness": treetext.serialize(report.witness),
-            "examined": report.examined,
-            "ok": ok,
-        },
-        f"leaves={n} maximum={report.optimum} "
-        f"witness={treetext.serialize(report.witness)} "
-        f"examined={report.examined} {'ok' if ok else 'MISMATCH'}",
-    )
-    return 0 if ok else 4
+    ok = report.optimum == expected_value and report.witness == binary_caterpillar(n)
+    return _verdict(args, {
+        "leaves": n,
+        "maximum": str(report.optimum),
+        "witness": treetext.serialize(report.witness),
+        "examined": report.examined,
+    }, ok)
 
 
 def _verify_min_binary(args, oracle):
     k = args.leaves
     report = extremal.min_binary_bnb(k, oracle)
     expected_value = extremal.min_binary_numbers(k, oracle)[-1]
-    expected_tree = extremal.min_binary_tree(k)
-    ok = report.optimum == expected_value and report.witness == expected_tree
-    _emit(
-        args,
-        {
-            "leaves": k,
-            "minimum": str(report.optimum),
-            "witness": treetext.serialize(report.witness),
-            "examined": report.examined,
-            "pruned": report.pruned,
-            "exhaustive": report.exhaustive,
-            "ok": ok,
-        },
-        f"leaves={k} minimum={report.optimum} "
-        f"witness={treetext.serialize(report.witness)} "
-        f"examined={report.examined} pruned={report.pruned} "
-        f"exhaustive={report.exhaustive} {'ok' if ok else 'MISMATCH'}",
-    )
-    return 0 if ok else 4
+    ok = report.optimum == expected_value and report.witness == extremal.min_binary_tree(k)
+    return _verdict(args, {
+        "leaves": k,
+        "minimum": str(report.optimum),
+        "witness": treetext.serialize(report.witness),
+        "examined": report.examined,
+        "pruned": report.pruned,
+        "exhaustive": report.exhaustive,
+    }, ok)
 
 
 def _verify_gi_max(args, oracle):
     n = args.vertices
-    spec = EnumSpec(TreeClass.ROOTED, "vertices", n)
-    report = extremal.exhaustive_max(spec, oracle)
-    expected_tree = extremal.gi_max_tree(n)
-    ok = report.witness == expected_tree
-    _emit(
-        args,
-        {
-            "vertices": n,
-            "maximum": str(report.optimum),
-            "witness": treetext.serialize(report.witness),
-            "examined": report.examined,
-            "ok": ok,
-        },
-        f"vertices={n} maximum={report.optimum} "
-        f"witness={treetext.serialize(report.witness)} "
-        f"examined={report.examined} {'ok' if ok else 'MISMATCH'}",
-    )
-    return 0 if ok else 4
+    report = extremal.exhaustive_max(EnumSpec(TreeClass.ROOTED, "vertices", n), oracle)
+    return _verdict(args, {
+        "vertices": n,
+        "maximum": str(report.optimum),
+        "witness": treetext.serialize(report.witness),
+        "examined": report.examined,
+    }, report.witness == extremal.gi_max_tree(n))
 
 
 def _verify_prime_bounds(args, oracle):

@@ -80,12 +80,12 @@ def _ascending_partitions(n, min_first=1):
             yield (first,) + rest
 
 
-def _branch_multisets(tree_class, parts):
+def _branch_multisets(parts, pools):
     """All multisets of trees matching an ascending size partition."""
     groups = []
     for size, grp in groupby(parts):
         count = len(tuple(grp))
-        groups.append(combinations_with_replacement(_pool(tree_class, size), count))
+        groups.append(combinations_with_replacement(pools[size], count))
     for chosen in product(*groups):
         yield tuple(chain.from_iterable(chosen))
 
@@ -99,22 +99,24 @@ def _branch_partitions(tree_class, n):
     return (parts for parts in _ascending_partitions(n) if len(parts) >= 2)
 
 
-@lru_cache(maxsize=None)
-def _pool(tree_class, n):
-    """Every tree of the class and size, sorted by serialization."""
-    if n == 1:
-        return (leaf(),)
+def _pool(tree_class, n, pools):
+    """Every tree of the class and size n, sorted by serialization, built
+    from ``pools``, the pools of every smaller size."""
     out = []
     for parts in _branch_partitions(tree_class, n):
-        for branches in _branch_multisets(tree_class, parts):
+        for branches in _branch_multisets(parts, pools):
             out.append(join(*branches))
     return tuple(sorted(out, key=serialize))
 
 
 def enumerate_trees(spec: EnumSpec, cap=None):
-    """Yield every tree of the class/size exactly once, canonically ordered."""
+    """Yield every tree of the class/size exactly once, canonically ordered.
+    The pools of smaller trees belong to this call alone."""
     _validate(spec, cap)
-    yield from _pool(spec.tree_class, spec.size)
+    pools = {1: (leaf(),)}
+    for n in range(2, spec.size + 1):
+        pools[n] = _pool(spec.tree_class, n, pools)
+    yield from pools[spec.size]
 
 
 def count_trees(spec: EnumSpec, cap=None) -> int:

@@ -244,9 +244,6 @@ def min_binary_bnb(k: int, oracle=None) -> SearchReport:
             examined += 1
             if best is None or value < best:
                 best, witness = value, join(wit_a, wit_b)
-                # The split value is the witness's Matula number; caching it
-                # keeps later canonical-order comparisons oracle-free.
-                witness._mnum = value
         if best is None:
             # Not even one split of this level was evaluable; nothing above
             # it can be either.

@@ -24,7 +24,9 @@ enumerations ask for the same indices again and again.
 
 The two analytic prime bounds used throughout the extremal searches live here
 as module functions: ``robin_lower`` (valid for every index m >= 2) and
-``rosser_schoenfeld_upper`` (valid for m >= 20).
+``rosser_schoenfeld_upper`` (valid for m >= 20).  Together with Dusart's
+upper bound (valid for m >= 39017) they also bound ln p_m, which orders trees
+whose branch primes lie past the prefix (``_ln_prime_bounds``).
 """
 
 import os
@@ -83,6 +85,13 @@ _MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
 _EULER_GAMMA = 0.5772156649015329
 
 
+# m (ln m + ln ln m - c) bounds p_m from below with c = _ROBIN (m >= 2), and
+# from above with c = _ROSSER (m >= 20) and c = _DUSART (m >= 39017; Dusart
+# 1999, Math. Comp. 68).
+_ROBIN, _ROSSER, _DUSART = 1.0072629, 0.5, 0.9484
+_LN_20, _LN_39017 = log(20), log(39017)
+
+
 def robin_lower(m):
     """Robin's lower bound on the m-th prime: m (ln m + ln ln m - 1.0072629).
 
@@ -91,14 +100,23 @@ def robin_lower(m):
     """
     if m < 2:
         raise DomainError(f"robin_lower needs m >= 2, got {m}")
-    return m * (log(m) + log(log(m)) - 1.0072629)
+    return m * (log(m) + log(log(m)) - _ROBIN)
 
 
 def rosser_schoenfeld_upper(m):
     """Rosser-Schoenfeld upper bound on the m-th prime, valid for m >= 20."""
     if m < 20:
         raise DomainError(f"rosser_schoenfeld_upper needs m >= 20, got {m}")
-    return m * (log(m) + log(log(m)) - 0.5)
+    return m * (log(m) + log(log(m)) - _ROSSER)
+
+
+def _ln_prime_bounds(lo, hi):
+    """Bounds (lower, upper) on ln p_m for every m with lo <= ln m <= hi, or
+    None when m may lie below 20.  Unwidened against float rounding."""
+    if lo < _LN_20:
+        return None
+    c = _DUSART if lo >= _LN_39017 else _ROSSER
+    return lo + log(lo + log(lo) - _ROBIN), hi + log(hi + log(hi) - c)
 
 
 def is_prime_certified(n: int) -> bool:
@@ -316,16 +334,6 @@ class PrimeOracle:
             self._primes.extend(_sieve_py.sieve_segment(lo, hi, self._primes))
             self._sieved_to = hi
 
-    def _grow_to_index(self, m):
-        """Extend until at least m primes are cached or the prefix is full."""
-        while len(self._primes) < m and self._sieved_to < self._prefix_end:
-            if m >= 20:
-                estimate = int(rosser_schoenfeld_upper(m)) + 2
-            else:
-                estimate = 100
-            target = max(estimate, self._sieved_to + _SEGMENT_SPAN)
-            self._extend_to_value(target)
-
     # -- past the prefix ---------------------------------------------------
 
     def _window(self, lo, hi):
@@ -387,23 +395,37 @@ class PrimeOracle:
 
     # -- queries -----------------------------------------------------------
 
+    def _prefix_prime(self, m):
+        """p_m (m >= 1) when it lies in the sieved prefix, else None; grows
+        the table unless m itself or Robin's bound already lies past the
+        prefix's end (p_m exceeds both)."""
+        # The table only grows and each read of it is atomic: no lock needed.
+        if m <= len(self._primes):
+            return self._primes[m - 1]
+        if m >= self._prefix_end or robin_lower(m) * (1 - 1e-12) >= self._prefix_end:
+            return None
+        with self._lock:
+            # Rosser-Schoenfeld's bound covers p_m; sieve at least a segment.
+            estimate = int(rosser_schoenfeld_upper(max(m, 20))) + 2
+            self._extend_to_value(max(estimate, self._sieved_to + _SEGMENT_SPAN))
+            if m <= len(self._primes):
+                return self._primes[m - 1]
+        return None
+
     def nth_prime(self, m: int) -> int:
         """The m-th prime (p_1 = 2); IndexOutOfRange beyond the ceiling."""
         if m < 1:
             raise DomainError(f"prime indices start at 1, got {m}")
+        p = self._prefix_prime(m)
+        if p is not None:
+            return p
+        # Fast refusal when a lower bound (p_m > m, Robin's) already clears
+        # the ceiling, or when the prefix covers the ceiling.
+        if m > self._limit_value or robin_lower(m) * (1 - 1e-12) > self._limit_value:
+            raise self._refusal(m)
+        if self._prefix_end > self._limit_value:
+            raise self._refusal(m)
         with self._lock:
-            if m <= len(self._primes):
-                return self._primes[m - 1]
-            # Fast refusal when the lower bound already clears the ceiling.
-            lower = robin_lower(m)
-            if lower * (1 - 1e-12) > self._limit_value:
-                raise self._refusal(m)
-            if lower <= _PREFIX_CAP:
-                self._grow_to_index(m)
-                if m <= len(self._primes):
-                    return self._primes[m - 1]
-            if self._prefix_end > self._limit_value:
-                raise self._refusal(m)
             return self._nth_past_prefix(m)
 
     def prime_index(self, p: int) -> int:

@@ -5,44 +5,54 @@ of its child subtrees, kept in canonical order (ascending Matula number).
 Canonical order makes structural equality coincide with rooted-tree
 isomorphism, so deduplication and serialization are trivial downstream.
 
-Ordering by Matula number is arithmetic, not structural: comparing two
-branches may in principle require actual prime values.  The comparator below
-first tries a structural dominance argument (sound because the n-th prime is
-strictly increasing and at least 2), which settles every comparison arising
-in the named constructions here without touching a prime table; only
-structurally incomparable pairs fall back to exact Matula numbers through
-the shared prime oracle, which can raise IndexOutOfRange for astronomically
-deep inputs.  That failure is deliberate and loud.
+Ordering by Matula number is arithmetic, not structural.  Each node compared
+gets one value, once: its exact Matula number while the prime of every
+branch number lies in the shared oracle's sieved prefix, else rigorous
+bounds on ln M from Robin's and Dusart's bounds on p_m (see ``primes``).
+Nodes compare by exact numbers, else by disjoint bounds; only overlapping
+bounds of different trees fall back to exact numbers through the oracle,
+which can raise IndexOutOfRange for astronomically deep inputs.  That
+failure is deliberate and loud.  No comparison or encoding recurses.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
+from math import inf, log, prod
 
 from .errors import DomainError, TooFewBranches
-from .primes import default_oracle
+from .primes import _ln_prime_bounds, default_oracle
+
+# Relative widening of every bound on ln M, against float rounding.
+_WIDEN = 1e-12
 
 
 class Tree:
     """A rooted tree in canonical form; use leaf() and join() to build."""
 
-    __slots__ = ("children", "_mnum", "_hash")
+    __slots__ = ("children", "_mnum", "_lnm", "_hash")
 
     def __init__(self, children=(), _matula=None):
         # Callers must pass children already in canonical order; the public
         # constructors below do.  Kept cheap because enumeration is hot.
         self.children = tuple(children)
         self._mnum = _matula if _matula is not None else (1 if not children else None)
+        self._lnm = None  # bounds (lo, hi) on ln M when _mnum is not known
         self._hash = hash(self.children)
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Tree):
             return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return self.children == other.children
+        # Pairwise from an explicit stack, so deep trees need no recursion.
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or len(a.children) != len(b.children):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
 
     def __hash__(self):
         return self._hash
@@ -56,6 +66,50 @@ class Tree:
 _LEAF = Tree()
 
 
+def _fill(t, oracle, exact):
+    """Give t and each node under it that lacks one a value, children
+    first, from an explicit stack: the Matula number if ``exact``, else the
+    number while every branch prime lies in the sieved prefix, else bounds
+    on ln M."""
+    if oracle is None:
+        oracle = default_oracle()
+    get_prime = oracle.nth_prime if exact else oracle._prefix_prime
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node._mnum is not None or not exact and node._lnm is not None:
+            continue
+        todo = [c for c in node.children if c._mnum is None and (exact or c._lnm is None)]
+        if todo:
+            stack.append(node)
+            stack.extend(reversed(todo))
+            continue
+        primes = [None if c._mnum is None else get_prime(c._mnum) for c in node.children]
+        if None not in primes:
+            node._mnum = prod(primes)
+            continue
+        lo = hi = 0.0
+        for child, p in zip(node.children, primes):
+            if p is None:
+                # No bound below m = 20: the node stays unbounded, and any
+                # comparison with it falls back to exact numbers.
+                plo, phi = _ln_prime_bounds(*_ln_bounds(child)) or (-inf, inf)
+            else:
+                plo = phi = log(p)
+            lo += plo
+            hi += phi
+        node._lnm = (lo * (1 - _WIDEN), hi * (1 + _WIDEN))
+
+
+def _ln_bounds(t):
+    """Bounds (lo, hi) on ln M(t) for a node that has a value."""
+    m = t._mnum
+    if m is None:
+        return t._lnm
+    x = log(m)
+    return x * (1 - _WIDEN), x * (1 + _WIDEN)
+
+
 def matula_number(t: Tree, oracle=None) -> int:
     """The Matula number of t: the product of p_{M(branch)} over branches.
 
@@ -64,75 +118,30 @@ def matula_number(t: Tree, oracle=None) -> int:
     the oracle's answerable index range; the exception's ``index`` attribute
     is that subtree's Matula number.
     """
-    m = t._mnum
-    if m is not None:
-        return m
-    if oracle is None:
-        oracle = default_oracle()
-    product = 1
-    for child in t.children:
-        product *= oracle.nth_prime(matula_number(child, oracle))
-    t._mnum = product
-    return product
-
-
-def _cmp_structural(a: Tree, b: Tree):
-    """Compare Matula numbers structurally: -1/0/+1, or None if undecided."""
-    if a is b:
-        return 0
-    xs, ys = a.children, b.children
-    if not xs and not ys:
-        return 0
-    if not xs:
-        return -1
-    if not ys:
-        return 1
-    if a == b:
-        return 0
-    if _dominated(xs, ys):
-        return -1
-    if _dominated(ys, xs):
-        return 1
-    return None
-
-
-def _dominated(xs, ys):
-    """True when M(node with branches xs) < M(node with branches ys) is
-    provable by matching every x against a distinct y with M(x) <= M(y).
-
-    Sound because M = product of p_{M(branch)}, p is strictly increasing and
-    every prime is >= 2 (so extra unmatched branches in ys only grow the
-    product).  Greedy prefix matching over the canonically sorted children;
-    incomplete, which is fine, the caller falls back to exact numbers.
-    """
-    if len(xs) > len(ys):
-        return False
-    strict = len(xs) < len(ys)
-    j = 0
-    for x in xs:
-        while j < len(ys):
-            c = _cmp_structural(x, ys[j])
-            j += 1
-            if c is not None and c <= 0:
-                if c < 0:
-                    strict = True
-                break
-        else:
-            return False
-    return strict
+    if t._mnum is None:
+        _fill(t, oracle, exact=True)
+    return t._mnum
 
 
 def compare_matula(a: Tree, b: Tree, oracle=None) -> int:
     """Total order on trees by Matula number (equal iff isomorphic)."""
-    ma, mb = a._mnum, b._mnum
-    if ma is not None and mb is not None:
-        return (ma > mb) - (ma < mb)
-    r = _cmp_structural(a, b)
-    if r is not None:
-        return r
-    ma = matula_number(a, oracle)
-    mb = matula_number(b, oracle)
-    return (ma > mb) - (ma < mb)
+    if a is b:
+        return 0
+    if a._mnum is None or b._mnum is None:
+        _fill(a, oracle, exact=False)
+        _fill(b, oracle, exact=False)
+    if a._mnum is None or b._mnum is None:
+        alo, ahi = _ln_bounds(a)
+        blo, bhi = _ln_bounds(b)
+        if ahi < blo:
+            return -1
+        if alo > bhi:
+            return 1
+        if a == b:
+            return 0
+        matula_number(a, oracle)
+        matula_number(b, oracle)
+    return (a._mnum > b._mnum) - (a._mnum < b._mnum)
 
 
 _canonical_key = cmp_to_key(compare_matula)

@@ -1,9 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matula import cli, extremal
 
@@ -62,6 +67,13 @@ def test_params_accepts_tree_or_number(capsys):
     assert out2 == out
 
 
+def test_params_of_a_non_decimal_digit_is_a_usage_error(capsys):
+    # "²" is a digit to str.isdigit but not a decimal number to int().
+    code, out, err = run_cli(capsys, "params", "²")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_params_json(capsys):
     code, out, _ = run_cli(capsys, "--json", "params", "42")
     record = json.loads(out)
@@ -88,6 +100,14 @@ def test_enumerate_with_matula(capsys):
     assert code == 0
     assert len(rows) == 2
     assert {row[1] for row in rows} == {"49", "86"}
+
+
+def test_enumerate_binary_14_under_a_low_ceiling(capsys):
+    code, out, err = run_cli(
+        capsys, "--prime-bound", "200000000", "enumerate", "--class", "binary", "--leaves", "14"
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2179
 
 
 def test_enumerate_count_only(capsys):
@@ -288,3 +308,43 @@ def test_deep_tree_is_a_usage_error(command):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: tree nesting too deep\n"
+
+
+# ASCII digits, a superscript two (a digit, but not decimal) and two
+# Arabic-Indic digits (decimal, so int() reads them).
+_DIGITS = "0123456789\u00b2\u0663\u0664"
+_TREE_TEXT = st.text(alphabet="(*,) -" + _DIGITS, max_size=24)
+_NUMBER_TEXT = st.text(alphabet="-" + _DIGITS, min_size=1, max_size=6)
+_FAST_ARGV = st.one_of(
+    st.tuples(st.sampled_from(["encode", "params"]), _TREE_TEXT),
+    st.tuples(st.sampled_from(["decode", "params"]), _NUMBER_TEXT),
+    st.tuples(
+        st.just("--prime-bound"),
+        st.integers(-1, 5000).map(str),
+        st.just("primes"),
+        st.sampled_from(["nth", "index", "pi", "other"]),
+        _NUMBER_TEXT,
+    ),
+    st.tuples(
+        st.just("enumerate"),
+        st.just("--class"),
+        st.sampled_from(["rooted", "topological", "binary", "other"]),
+        st.sampled_from(["--leaves", "--vertices"]),
+        st.integers(-2, 30).map(str),
+        st.just("--count"),
+    ),
+).map(list)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FAST_ARGV)
+def test_exit_code_is_always_0_2_3_or_4(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), mock.patch(
+        "sys.stdin", io.StringIO("*\n")
+    ):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())

@@ -7,6 +7,7 @@ from matula import (
     IndexOutOfRange,
     MatulaError,
     PrimeOracle,
+    Tree,
     TreeClass,
     decode,
     encode,
@@ -104,6 +105,32 @@ def test_encode_range_error_names_subtree():
         encode(tower, small)
     assert err.value.index == 31
     assert err.value.index > small.limit_index
+
+
+def test_encode_of_a_deep_path_is_a_range_error(oracle):
+    # The vertex paths have numbers 1, 2, 3, 5, 11, 31, ...; the 14-vertex
+    # path's number 3657500101 is the first whose prime lies past 2^32, so
+    # the 15-vertex path is the smallest infeasible subtree.  3000 levels
+    # would exhaust Python's recursion limit if encode recursed.
+    path = leaf()
+    for _ in range(3000):
+        path = join(path)
+    with pytest.raises(IndexOutOfRange) as err:
+        encode(path, oracle)
+    assert err.value.index == 3657500101
+
+
+def test_encode_reports_the_leftmost_infeasible_branch():
+    small = PrimeOracle(limit_value=100)
+    path7 = leaf()
+    for _ in range(6):
+        path7 = join(path7)
+    # Branches with numbers 127 = p_31 and 131 = p_32, neither encodable
+    # under the ceiling; Tree() keeps both without a cached number.
+    t = Tree((path7, join(star(5))))
+    with pytest.raises(IndexOutOfRange) as err:
+        encode(t, small)
+    assert err.value.index == 31
 
 
 def test_decode_range_error_carries_path():

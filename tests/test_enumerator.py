@@ -1,9 +1,13 @@
+import gc
+
 import pytest
 
 from matula import (
     DomainError,
     EnumSpec,
+    PrimeOracle,
     SizeTooLarge,
+    Tree,
     TreeClass,
     classify,
     count_trees,
@@ -11,7 +15,9 @@ from matula import (
     enumerate_trees,
     leaf,
     serialize,
+    set_default_oracle,
 )
+from matula import primes
 
 from oracles import A000081, A000669, wedderburn_etherington
 
@@ -101,6 +107,35 @@ def test_matula_numbers_pairwise_distinct(oracle):
     ):
         numbers = [encode(t, oracle) for t in enumerate_trees(spec)]
         assert len(numbers) == len(set(numbers))
+
+
+@pytest.mark.parametrize("leaves,expected", [(14, 2179), (16, 10905)])
+def test_binary_past_the_prefix_needs_no_prime_past_the_ceiling(leaves, expected):
+    # Canonical order decides these by bounds on ln M; exact numbers would
+    # need p_11893763, past the 2 * 10^8 ceiling.
+    previous = primes._default_oracle
+    set_default_oracle(PrimeOracle(limit_value=2 * 10**8))
+    try:
+        texts = [serialize(t) for t in enumerate_trees(_spec(TreeClass.BINARY, leaves))]
+    finally:
+        set_default_oracle(previous)
+    assert len(texts) == len(set(texts)) == expected == wedderburn_etherington(leaves)
+
+
+def _live_trees():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Tree))
+
+
+def test_pools_belong_to_one_enumeration():
+    for cls, size in ((TreeClass.BINARY, 6), (TreeClass.ROOTED, 2), (TreeClass.TOPOLOGICAL, 5)):
+        first = list(enumerate_trees(_spec(cls, size)))
+        second = list(enumerate_trees(_spec(cls, size)))
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+    before = _live_trees()
+    assert sum(1 for _ in enumerate_trees(_spec(TreeClass.BINARY, 10))) == 98
+    assert _live_trees() == before
 
 
 def test_deterministic_across_runs():

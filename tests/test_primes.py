@@ -285,6 +285,26 @@ def test_prefix_stays_capped():
     assert f"cached={PI_2_24})" in repr(oracle)
 
 
+def test_prefix_prime_answers_inside_the_prefix_only():
+    oracle = PrimeOracle()
+    assert oracle._prefix_prime(1) == 2
+    assert oracle._prefix_prime(PI_2_24) == 16_777_213
+    assert f"sieved_to={2**24 + 1}," in repr(oracle)
+    assert oracle._prefix_prime(PI_2_24 + 1) is None
+    # Robin's bound, or p_m > m, already puts these past the prefix: no
+    # sieving at all, and no float overflow for a huge m.
+    fresh = PrimeOracle()
+    assert fresh._prefix_prime(2 * 10**6) is None
+    assert fresh._prefix_prime(10**400) is None
+    assert "sieved_to=65537," in repr(fresh)
+
+
+def test_nth_prime_refuses_a_huge_index():
+    with pytest.raises(IndexOutOfRange) as err:
+        PrimeOracle().nth_prime(10**400)
+    assert err.value.index == 10**400
+
+
 def test_far_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(primes, "_FAR_MEMO_SIZE", 4)
     oracle = PrimeOracle()

@@ -1,3 +1,6 @@
+import random
+from math import log
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +17,15 @@ from matula import (
     join,
     leaf,
     params,
+    parse,
+    serialize,
     star,
 )
 from matula.codec import decode
+from matula.primes import _ln_prime_bounds
+from matula.trees import _WIDEN, _ln_bounds
 
-from oracles import bfs_params
+from oracles import MonolithicSieve, bfs_params
 
 
 def small_trees(max_depth=3):
@@ -115,6 +122,71 @@ def test_compare_matula_total_order(oracle):
         for j, b in enumerate(trees, start=1):
             expected = (i > j) - (i < j)
             assert compare_matula(a, b) == expected
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def test_compare_matula_agrees_with_encode_on_uncached_trees(oracle):
+    # parse builds every node by join, so the roots compared here carry no
+    # cached number; each pair is compared on freshly parsed trees.
+    numbers = list(range(1, 60)) + [360, 1234, 99991, 2**8 * 3**4 * 43, 10**6 + 3]
+    texts = {n: serialize(decode(n, oracle)) for n in numbers}
+    for x in numbers:
+        for y in numbers:
+            a, b = parse(texts[x]), parse(texts[y])
+            assert compare_matula(a, b) == _sign(x, y), (x, y)
+
+
+def test_compare_matula_past_the_prefix(oracle):
+    # Branch numbers in [2 * 10^6, 10^7] have primes past the 2^24 prefix,
+    # so these nodes are ordered by their bounds on ln M.
+    rng = random.Random(4)
+    branches = [decode(k, oracle) for k in rng.sample(range(2 * 10**6, 10**7), 4)]
+    small = decode(1234, oracle)
+    trees = [join(b) for b in branches]
+    trees += [join(b, leaf()) for b in branches]
+    trees += [join(branches[0], branches[1]), join(branches[2], small)]
+    trees += [join(branches[3], *[leaf()] * 30)]
+    trees += [star(30), decode(10**6 + 3, oracle)]
+    got = {(i, j): compare_matula(a, b) for i, a in enumerate(trees) for j, b in enumerate(trees)}
+    assert all(t._mnum is None for t in trees[:-2])  # no exact fallback ran
+    bounds = [_ln_bounds(t) for t in trees]
+    numbers = [encode(t, oracle) for t in trees]
+    for (i, j), c in got.items():
+        assert c == _sign(numbers[i], numbers[j]), (i, j)
+    for (lo, hi), n in zip(bounds, numbers):
+        assert lo <= log(n) <= hi
+
+
+def test_deep_trees_compare_without_recursion():
+    def path(n):
+        t = leaf()
+        for _ in range(n - 1):
+            t = join(t)
+        return t
+
+    a, b = path(3000), path(3000)
+    assert a == b and a is not b
+    assert compare_matula(a, b) == 0
+    assert compare_matula(path(2999), a) == -1
+    assert join(a, b).children == (a, a)
+
+
+def test_ln_prime_bounds_contain_ln_p():
+    sieve = MonolithicSieve(20_000_000)  # p_m for every m <= 1,270,607
+    rng = random.Random(7)
+    ms = [20, 21, 100, 39016, 39017, 39018, 1_077_871, 1_077_872, 1_270_607]
+    ms += rng.sample(range(39017, 1_270_608), 40) + rng.sample(range(20, 39017), 10)
+    for m in ms:
+        x = log(sieve.nth(m))
+        lo, hi = _ln_prime_bounds(log(m), log(m))
+        assert lo * (1 - _WIDEN) <= x <= hi * (1 + _WIDEN), m
+        if m > 20:  # an interval on ln m bounds ln p_m for every m inside it
+            lo, hi = _ln_prime_bounds(log(m) - 1e-3, log(m) + 1e-3)
+            assert lo <= x <= hi, m
+    assert _ln_prime_bounds(log(19), log(10**6)) is None
 
 
 def test_apply_merge_star3():
