@@ -10,6 +10,7 @@ figures.  With --json every result line is a single JSON object.
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import asdict
 
@@ -325,23 +326,25 @@ _VERIFIERS = {
 
 def run(argv=None) -> int:
     """Parse argv, execute, and return the exit code (0/2/3/4)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    # Numbers are exact, so decimal text of any length must convert both ways.
+    previous_digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous_digits is not None:
+        sys.set_int_max_str_digits(0)
     previous_default = primes._default_oracle
-    if args.prime_bound is not None:
-        try:
-            oracle = primes.PrimeOracle(limit_value=args.prime_bound)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        # Canonical ordering inside tree construction consults the shared
-        # oracle, so the override must apply process-wide for this run.
-        primes.set_default_oracle(oracle)
-    else:
-        oracle = primes.default_oracle()
-
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
+        if args.prime_bound is not None:
+            try:
+                oracle = primes.PrimeOracle(limit_value=args.prime_bound)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            # Canonical ordering inside tree construction consults the shared
+            # oracle, so the override must apply process-wide for this run.
+            primes.set_default_oracle(oracle)
+        else:
+            oracle = primes.default_oracle()
         if args.command == "verify":
             return _VERIFIERS[args.verb](args, oracle)
         return _COMMANDS[args.command](args, oracle)
@@ -353,15 +356,17 @@ def run(argv=None) -> int:
     except MatulaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: tree nesting too deep", file=sys.stderr)
-        return 2
     finally:
-        if args.prime_bound is not None:
+        if previous_digits is not None:
+            sys.set_int_max_str_digits(previous_digits)
+        if args is not None and args.prime_bound is not None:
             primes.set_default_oracle(previous_default)
 
 
 def main() -> int:
+    # Like other Unix tools, end quietly when the reader closes stdout.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     return run()
 
 

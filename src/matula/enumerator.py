@@ -1,11 +1,12 @@
 """Exhaustive, isomorphism-free generation of tree classes by size.
 
-Generation works by recursive multiset composition: a tree is a root plus a
+Generation works bottom-up by multiset composition: a tree is a root plus a
 multiset of strictly smaller trees of the same class whose sizes add up, so
 choosing branch multisets through combinations-with-replacement kills
 isomorphic duplicates at the source instead of filtering them afterwards.
-``count_trees`` runs the same recursion on binomial coefficients alone,
-giving an arithmetic cross-check that never materializes a tree.
+``count_trees`` runs the same composition on binomial coefficients alone,
+giving an arithmetic cross-check that never materializes a tree.  Nothing
+here recurses, and the pools and counts of smaller sizes belong to one call.
 
 Supported (class, size) readings:
 
@@ -14,15 +15,15 @@ Supported (class, size) readings:
 * arbitrary rooted trees by vertex count.
 
 Each stream yields every isomorphism class exactly once, in canonical form,
-ordered by canonical serialization.  A configurable cap guards against
-accidental combinatorial explosion.  Generation is sequential here; distinct
-top-level branch compositions are independent, so callers wanting
-parallelism can safely split on them (trees are immutable values).
+ordered by canonical serialization; only the requested size is sorted.  A
+configurable cap guards against accidental combinatorial explosion.
+Generation is sequential here; distinct top-level branch compositions are
+independent, so callers wanting parallelism can safely split on them (trees
+are immutable values).
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import DomainError, SizeTooLarge
@@ -70,14 +71,15 @@ def _validate(spec: EnumSpec, cap=None):
         )
 
 
-def _ascending_partitions(n, min_first=1):
-    """Ascending tuples of positive integers summing to n."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min_first, n + 1):
-        for rest in _ascending_partitions(n - first, first):
-            yield (first,) + rest
+def _ascending_partitions(n):
+    """Ascending tuples of positive integers summing to n, lexicographically."""
+    stack = [((), n, 1)]  # (parts so far, remainder, least next part)
+    while stack:
+        parts, rest, low = stack.pop()
+        if not rest:
+            yield parts
+        # The largest next part goes in first, so the smallest comes out first.
+        stack.extend((parts + (k,), rest - k, k) for k in range(rest, low - 1, -1))
 
 
 def _branch_multisets(parts, pools):
@@ -95,18 +97,16 @@ def _branch_partitions(tree_class, n):
     if tree_class is TreeClass.ROOTED:
         return _ascending_partitions(n - 1)
     if tree_class is TreeClass.BINARY:
-        return (parts for parts in _ascending_partitions(n) if len(parts) == 2)
+        return ((a, n - a) for a in range(1, n // 2 + 1))
     return (parts for parts in _ascending_partitions(n) if len(parts) >= 2)
 
 
 def _pool(tree_class, n, pools):
-    """Every tree of the class and size n, sorted by serialization, built
-    from ``pools``, the pools of every smaller size."""
-    out = []
+    """Every tree of the class and size n, built from ``pools``, the pools
+    of every smaller size."""
     for parts in _branch_partitions(tree_class, n):
         for branches in _branch_multisets(parts, pools):
-            out.append(join(*branches))
-    return tuple(sorted(out, key=serialize))
+            yield join(*branches)
 
 
 def enumerate_trees(spec: EnumSpec, cap=None):
@@ -115,8 +115,8 @@ def enumerate_trees(spec: EnumSpec, cap=None):
     _validate(spec, cap)
     pools = {1: (leaf(),)}
     for n in range(2, spec.size + 1):
-        pools[n] = _pool(spec.tree_class, n, pools)
-    yield from pools[spec.size]
+        pools[n] = tuple(_pool(spec.tree_class, n, pools))
+    yield from sorted(pools[spec.size], key=serialize)
 
 
 def count_trees(spec: EnumSpec, cap=None) -> int:
@@ -125,21 +125,16 @@ def count_trees(spec: EnumSpec, cap=None) -> int:
     Matches len(list(enumerate_trees(spec))) but touches no tree: for each
     size partition of the branches the number of multiset choices is the
     product of C(classes + copies - 1, copies) over the distinct part sizes.
+    The counts of smaller sizes belong to this call alone.
     """
     _validate(spec, cap)
-    return _count(spec.tree_class, spec.size)
-
-
-@lru_cache(maxsize=None)
-def _count(tree_class, n):
-    if n == 1:
-        return 1
-    total = 0
-    for parts in _branch_partitions(tree_class, n):
-        choices = 1
-        for size, grp in groupby(parts):
-            copies = len(tuple(grp))
-            classes = _count(tree_class, size)
-            choices *= math.comb(classes + copies - 1, copies)
-        total += choices
-    return total
+    counts = {1: 1}
+    for n in range(2, spec.size + 1):
+        counts[n] = 0
+        for parts in _branch_partitions(spec.tree_class, n):
+            choices = 1
+            for size, grp in groupby(parts):
+                copies = len(tuple(grp))
+                choices *= math.comb(counts[size] + copies - 1, copies)
+            counts[n] += choices
+    return counts[spec.size]

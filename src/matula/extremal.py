@@ -90,16 +90,18 @@ def min_binary_tree(k: int) -> Tree:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    return _min_binary_tree(k)
-
-
-def _min_binary_tree(k, _cache={1: leaf()}):
-    t = _cache.get(k)
-    if t is None:
-        a, b = _balanced_split(k)
-        t = join(_min_binary_tree(a), _min_binary_tree(b))
-        _cache[k] = t
-    return t
+    # The splits reached from k, then their trees, smallest first.
+    splits = {}
+    stack = [k]
+    while stack:
+        j = stack.pop()
+        if j > 1 and j not in splits:
+            splits[j] = _balanced_split(j)
+            stack.extend(splits[j])
+    trees = {1: leaf()}
+    for j in sorted(splits):
+        trees[j] = join(*(trees[part] for part in splits[j]))
+    return trees[k]
 
 
 def gi_max_tree(n: int) -> Tree:

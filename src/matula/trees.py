@@ -12,7 +12,7 @@ bounds on ln M from Robin's and Dusart's bounds on p_m (see ``primes``).
 Nodes compare by exact numbers, else by disjoint bounds; only overlapping
 bounds of different trees fall back to exact numbers through the oracle,
 which can raise IndexOutOfRange for astronomically deep inputs.  That
-failure is deliberate and loud.  No comparison or encoding recurses.
+failure is deliberate and loud.  No walk over a tree recurses.
 """
 
 from dataclasses import dataclass
@@ -240,37 +240,34 @@ class TreeParams:
 
 
 def params(t: Tree) -> TreeParams:
-    """Extract TreeParams in one pass.
+    """Extract TreeParams from one pre-order walk and its reverse.
 
     The Wiener index is computed by edge decomposition: every edge splits
     the tree into parts of sizes s and V - s and contributes s * (V - s)
     pairs at distance crossing it.
     """
-    sizes = []
-    outdegrees = []
-
-    def scan(node):
-        if not node.children:
-            sizes.append(1)
-            outdegrees.append(0)
-            return 1, 0, 1
-        size, height, leaves = 1, 0, 0
-        for child in node.children:
-            s, h, l = scan(child)
-            size += s
-            height = max(height, h + 1)
-            leaves += l
-        sizes.append(size)
-        outdegrees.append(len(node.children))
-        return size, height, leaves
-
-    vertices, height, leaves = scan(t)
-    # The root's own entry contributes sizes[-1] * 0, so no edge is
-    # miscounted by summing over every vertex.
-    wiener = sum(s * (vertices - s) for s in sizes)
+    # Pre-order from an explicit stack, so in reverse every vertex follows
+    # its children.  Sizes are keyed by node identity, because equal
+    # subtrees may be one shared object.
+    order = []
+    height = 0
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        order.append(node)
+        height = max(height, depth)
+        stack.extend((child, depth + 1) for child in node.children)
+    size = {}
+    for node in reversed(order):
+        size[id(node)] = 1 + sum(size[id(child)] for child in node.children)
+    vertices = len(order)
+    outdegrees = [len(node.children) for node in order]
+    # The root's own entry contributes V * 0, so no edge is miscounted by
+    # summing over every vertex.
+    wiener = sum(size[id(node)] * (vertices - size[id(node)]) for node in order)
     return TreeParams(
         vertices=vertices,
-        leaves=leaves,
+        leaves=outdegrees.count(0),
         height=height,
         max_outdegree=max(outdegrees),
         outdegree_multiset=tuple(sorted(outdegrees)),

@@ -5,7 +5,8 @@ Grammar:  tree := "*" | "(" tree { "," tree } ")"
 A leaf is "*" rather than "()", so a parenthesized node has at least one
 child by construction.  Whitespace between tokens is ignored.  Serialization
 is canonical (children in ascending Matula order) and round-trips exactly;
-this is the wire format for the CLI and for every test fixture.
+this is the wire format for the CLI and for every test fixture.  No walk
+here recurses, so nesting depth is bounded by memory alone.
 """
 
 from .errors import TreeSyntaxError
@@ -18,7 +19,21 @@ def serialize(t: Tree) -> str:
     """Canonical text for t; parse(serialize(t)) == t."""
     if not t.children:
         return "*"
-    return "(" + ",".join(serialize(c) for c in t.children) + ")"
+    parts = ["("]
+    stack = [iter(t.children)]  # the children of each open node still to write
+    while stack:
+        for node in stack[-1]:
+            if parts[-1] != "(":
+                parts.append(",")
+            if node.children:
+                parts.append("(")
+                stack.append(iter(node.children))
+                break
+            parts.append("*")
+        else:
+            stack.pop()
+            parts.append(")")
+    return "".join(parts)
 
 
 def parse(text: str) -> Tree:
@@ -27,65 +42,50 @@ def parse(text: str) -> Tree:
     Child order in the input is irrelevant; the result is canonical.  Raises
     TreeSyntaxError carrying the byte offset and the expected-token set.
     """
-    pos = _skip_ws(text, 0)
-    tree, pos = _parse_tree(text, pos)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise TreeSyntaxError(
-            f"trailing input at offset {pos}", pos, {"end of input"}
-        )
-    return tree
-
-
-def _skip_ws(s, i):
-    while i < len(s) and s[i] in _WHITESPACE:
-        i += 1
-    return i
-
-
-def _parse_tree(s, i):
-    if i >= len(s):
-        raise TreeSyntaxError(f"unexpected end of input at offset {i}", i, {"*", "("})
-    c = s[i]
-    if c == "*":
-        return leaf(), i + 1
-    if c != "(":
-        raise TreeSyntaxError(f"unexpected {c!r} at offset {i}", i, {"*", "("})
-    children = []
-    i += 1
-    while True:
-        i = _skip_ws(s, i)
-        child, i = _parse_tree(s, i)
-        children.append(child)
-        i = _skip_ws(s, i)
-        if i >= len(s):
-            raise TreeSyntaxError(
-                f"unexpected end of input at offset {i}", i, {",", ")"}
-            )
-        if s[i] == ",":
-            i += 1
+    # want: the characters accepted next, "" once the whole tree is read.
+    # stack: the children read so far of each open "(", over the root's list.
+    want = "*("
+    stack = [[]]
+    for i, c in enumerate(text):
+        if c in _WHITESPACE:
             continue
-        if s[i] == ")":
-            # Input child order is free-form; join restores canonical order.
-            return join(*children), i + 1
-        raise TreeSyntaxError(f"unexpected {s[i]!r} at offset {i}", i, {",", ")"})
+        if c not in want:
+            if not want:
+                raise TreeSyntaxError(f"trailing input at offset {i}", i, {"end of input"})
+            raise TreeSyntaxError(f"unexpected {c!r} at offset {i}", i, set(want))
+        if c == "(":
+            stack.append([])
+        elif c == ",":
+            want = "*("
+        else:
+            # A tree is complete; join restores canonical child order.
+            tree = leaf() if c == "*" else join(*stack.pop())
+            stack[-1].append(tree)
+            want = ",)" if len(stack) > 1 else ""
+    if want:
+        end = len(text)
+        raise TreeSyntaxError(f"unexpected end of input at offset {end}", end, set(want))
+    return stack[0][0]
 
 
 def to_dot(t: Tree, name: str = "tree") -> str:
     """Graphviz DOT text: one node per vertex, edges parent to child, nodes
     numbered by canonical depth-first order (root is n0)."""
-    lines = [f"digraph {name} {{"]
-    counter = [0]
-
-    def emit(node):
-        uid = counter[0]
-        counter[0] += 1
-        lines.append(f'  n{uid} [label="{uid}"];')
-        for child in node.children:
-            cid = emit(child)
-            lines.append(f"  n{uid} -> n{cid};")
-        return uid
-
-    emit(t)
+    lines = [f"digraph {name} {{", '  n0 [label="0"];']
+    uid = 0
+    # The number and the children still to write of each open node.  A
+    # node's edge line is written once its whole subtree is.
+    stack = [(0, iter(t.children))]
+    while stack:
+        node_uid, children = stack[-1]
+        for child in children:
+            uid += 1
+            lines.append(f'  n{uid} [label="{uid}"];')
+            stack.append((uid, iter(child.children)))
+            break
+        else:
+            stack.pop()
+            if stack:
+                lines.append(f"  n{stack[-1][0]} -> n{node_uid};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+from functools import reduce
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -297,17 +299,69 @@ def test_json_mode_streams_objects(capsys):
     assert {(rec["k1"], rec["k2"]) for rec in records} >= {(1, 3), (2, 2)}
 
 
-@pytest.mark.parametrize("command", ["encode", "params"])
-def test_deep_tree_is_a_usage_error(command):
-    deep = "(" * 3000 + "*" + ")" * 3000
-    proc = subprocess.run(
-        [sys.executable, "-m", "matula.cli", command, deep],
+def _matula_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "matula.cli", *argv],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 2
-    assert proc.stderr == "error: tree nesting too deep\n"
+
+
+_DEEP_PATH = "(" * 3000 + "*" + ")" * 3000
+
+
+def test_encode_of_deep_tree_text_is_a_range_error():
+    # The smallest Matula number of height 13 is already past the ceiling.
+    proc = _matula_cli("encode", _DEEP_PATH)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "offending index 3657500101" in proc.stderr
+
+
+def test_params_of_deep_tree_text():
+    proc = _matula_cli("params", _DEEP_PATH)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("vertices=3001 leaves=1 height=3000 ")
+
+
+def test_encode_prints_numbers_past_4300_digits():
+    # The 15000-leaf star is 2^15000, which has 4516 decimal digits.
+    proc = _matula_cli("encode", "(" + ",".join("*" * 15000) + ")")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    digits = proc.stdout.strip()
+    assert len(digits) == 4516
+    # Horner's rule, so this check needs no long int <-> str conversion.
+    assert reduce(lambda n, d: 10 * n + int(d), digits, 0) == 1 << 15000
+
+
+@pytest.mark.parametrize("command", ["decode", "params"])
+def test_huge_numbers_are_range_errors(capsys, command):
+    digits_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = digits_limit()
+    code, out, err = run_cli(capsys, command, "9" * 5000)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+    # The run lifts the conversion limit for itself only, on usage errors too.
+    assert digits_limit() == limit
+    with pytest.raises(SystemExit):
+        cli.run(["decode", "not-a-number"])
+    assert digits_limit() == limit
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_closed_stdout_ends_quietly():
+    # Like `matula enumerate ... | head -1`: the reader leaves after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "matula.cli", "enumerate", "--class", "rooted", "--vertices", "14"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().strip()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=120)
+    assert err == b""
+    assert proc.returncode == -signal.SIGPIPE
 
 
 # ASCII digits, a superscript two (a digit, but not decimal) and two

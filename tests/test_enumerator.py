@@ -18,6 +18,7 @@ from matula import (
     set_default_oracle,
 )
 from matula import primes
+from matula.enumerator import _ascending_partitions
 
 from oracles import A000081, A000669, wedderburn_etherington
 
@@ -40,6 +41,24 @@ def test_rooted_counts_match_reference():
 def test_binary_counts_match_wedderburn_etherington():
     for n in range(1, 13):
         assert count_trees(_spec(TreeClass.BINARY, n)) == wedderburn_etherington(n)
+
+
+def test_binary_count_far_past_the_cap():
+    # The reference recursion is warmed in ascending n, so it never nests
+    # deeper than one level.
+    for n in range(1, 1501):
+        wedderburn_etherington(n)
+    assert count_trees(_spec(TreeClass.BINARY, 1500), cap=2000) == wedderburn_etherington(1500)
+
+
+def test_ascending_partitions_in_lexicographic_order():
+    # OEIS A000041: the number of partitions of n.
+    for n, expected in enumerate([1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]):
+        parts = list(_ascending_partitions(n))
+        assert len(parts) == len(set(parts)) == expected
+        assert parts == sorted(parts)
+        assert all(sum(p) == n and list(p) == sorted(p) and min(p, default=1) >= 1 for p in parts)
+    assert len(list(_ascending_partitions(40))) == 37338
 
 
 def test_golden_counts():

@@ -69,6 +69,13 @@ def test_min_binary_tree_shapes():
         min_binary_tree(0)
 
 
+def test_min_binary_tree_builds_afresh_per_call():
+    # No tree outlives the call that built it in a process-wide cache.
+    first, second = min_binary_tree(13), min_binary_tree(13)
+    assert first == second and first is not second
+    assert min_binary_tree(4096) == join(min_binary_tree(2048), min_binary_tree(2048))
+
+
 def test_min_binary_tree_encodes_to_sequence(oracle):
     values = min_binary_numbers(18, oracle)
     for k in (1, 2, 3, 6, 11, 13, 18):

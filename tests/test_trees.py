@@ -40,6 +40,14 @@ def small_trees(max_depth=3):
     )
 
 
+def deep_path(depth):
+    """The path whose root lies ``depth`` edges above its one leaf."""
+    t = leaf()
+    for _ in range(depth):
+        t = join(t)
+    return t
+
+
 def test_leaf_is_single_vertex():
     t = leaf()
     assert t.children == ()
@@ -268,6 +276,17 @@ def test_params_match_bfs_on_random_trees(t):
     assert p.vertices == reference["vertices"]
     assert p.wiener == reference["wiener"]
     assert p.outdegree_multiset == reference["outdegree_multiset"]
+
+
+def test_params_of_deep_trees_match_closed_forms():
+    n = 5000
+    p = params(binary_caterpillar(n))
+    assert (p.vertices, p.leaves, p.height, p.max_outdegree) == (2 * n - 1, n, n - 1, 2)
+    assert p.outdegree_multiset == (0,) * n + (2,) * (n - 1)
+    p = params(deep_path(n))
+    assert (p.vertices, p.leaves, p.height, p.max_outdegree) == (n + 1, 1, n, 1)
+    # A path on V vertices has Wiener index C(V + 1, 3).
+    assert p.wiener == n * (n + 1) * (n + 2) // 6
 
 
 def test_repr_round_trips():

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from matula import (
     to_dot,
 )
 
-from test_trees import small_trees
+from test_trees import deep_path, small_trees
 
 
 def test_parse_leaf():
@@ -48,26 +49,33 @@ def test_unary_nodes_are_representable():
     assert serialize(decode(3)) == "((*))"
 
 
+_TREE = {"*", "("}
+_NEXT = {",", ")"}
+_END = {"end of input"}
+_SYNTAX_ERRORS = [
+    ("", 0, _TREE),
+    ("()", 1, _TREE),
+    ("(*", 2, _NEXT),
+    ("(*,)", 3, _TREE),
+    ("(*,*", 4, _NEXT),
+    ("*garbage", 1, _END),
+    ("(*)x", 3, _END),
+    (",*", 0, _TREE),
+    ("(*,*))", 5, _END),
+    ("((*,*)", 6, _NEXT),
+]
+
+
 @pytest.mark.parametrize(
-    "text,offset",
-    [
-        ("", 0),
-        ("()", 1),
-        ("(*", 2),
-        ("(*,)", 3),
-        ("(*,*", 4),
-        ("*garbage", 1),
-        ("(*)x", 3),
-        (",*", 0),
-        ("(*,*))", 5),
-        ("((*,*)", 6),
-    ],
+    "text,offset,expected",
+    _SYNTAX_ERRORS,
+    ids=[f"{text}-{offset}" for text, offset, _ in _SYNTAX_ERRORS],
 )
-def test_syntax_errors_carry_offsets(text, offset):
+def test_syntax_errors_carry_offsets(text, offset, expected):
     with pytest.raises(TreeSyntaxError) as err:
         parse(text)
     assert err.value.offset == offset
-    assert err.value.expected
+    assert err.value.expected == expected
 
 
 def test_round_trip_small_numbers(oracle):
@@ -120,3 +128,42 @@ def test_to_dot_caterpillar3():
 
 def test_to_dot_deterministic():
     assert to_dot(decode(42)) == to_dot(parse("((*,*),*,(*))"))
+
+
+def test_to_dot_golden():
+    # Pre-order numbering; each edge line follows its child's whole subtree.
+    assert to_dot(decode(42)) == (
+        "digraph tree {\n"
+        '  n0 [label="0"];\n'
+        '  n1 [label="1"];\n'
+        "  n0 -> n1;\n"
+        '  n2 [label="2"];\n'
+        '  n3 [label="3"];\n'
+        "  n2 -> n3;\n"
+        "  n0 -> n2;\n"
+        '  n4 [label="4"];\n'
+        '  n5 [label="5"];\n'
+        "  n4 -> n5;\n"
+        '  n6 [label="6"];\n'
+        "  n4 -> n6;\n"
+        "  n0 -> n4;\n"
+        "}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "build,text,vertices",
+    [
+        (lambda: binary_caterpillar(5000), "(*," * 4999 + "*" + ")" * 4999, 9999),
+        (lambda: deep_path(5000), "(" * 5000 + "*" + ")" * 5000, 5001),
+    ],
+    ids=["caterpillar-5000", "path-5000"],
+)
+def test_deep_trees_need_no_recursion(build, text, vertices):
+    # Far deeper than the recursion limit: every walk here is iterative.
+    assert sys.getrecursionlimit() < 5000
+    t = build()
+    assert serialize(t) == text
+    assert parse(text) == t
+    assert _dot_counts(to_dot(t)) == (vertices, vertices - 1)
+    assert repr(t) == f"Tree({text!r})"
