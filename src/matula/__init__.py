@@ -3,8 +3,8 @@
 The bijection sends the one-vertex tree to 1 and a tree with branches
 B_1, ..., B_r to the product of the M(B_i)-th primes; this package provides
 the codec, a text format, exhaustive enumeration by class and size, the
-extremal constructions with their number sequences, and searches that verify
-the extremal claims exactly at desk scale.
+extremal constructions with their number sequences, and a dynamic program
+over branch sizes that certifies the extremal claims.
 """
 
 from ._sieve_py import BACKEND as SIEVE_BACKEND
@@ -24,13 +24,10 @@ from .errors import (
 )
 from .extremal import (
     InequalityRecord,
-    SearchReport,
     caterpillar_numbers,
     check_caterpillar_inequality,
-    exhaustive_max,
-    exhaustive_min,
+    extremal_tree,
     gi_max_tree,
-    min_binary_bnb,
     min_binary_numbers,
     min_binary_tree,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "NotPrime",
     "PrimeOracle",
     "SIEVE_BACKEND",
-    "SearchReport",
     "SizeTooLarge",
     "TooFewBranches",
     "Tree",
@@ -90,13 +86,11 @@ __all__ = [
     "default_oracle",
     "encode",
     "enumerate_trees",
-    "exhaustive_max",
-    "exhaustive_min",
+    "extremal_tree",
     "gi_max_tree",
     "is_prime_certified",
     "join",
     "leaf",
-    "min_binary_bnb",
     "min_binary_numbers",
     "min_binary_tree",
     "params",

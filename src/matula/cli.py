@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 usage or malformed input, 3 range/infeasibility
 (the offending prime index is printed), 4 a verification claim failed (the
 CI tripwire).  Matula numbers and primes are always printed as decimal
 strings; only the two analytic bound formulas print floats, at 6 significant
-figures.  With --json every result line is a single JSON object.
+figures, and the certified bounds on ln M, with repr.  With --json every
+result line is a single JSON object.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from . import extremal, primes, treetext
 from .codec import decode, encode
 from .enumerator import EnumSpec, count_trees, enumerate_trees
 from .errors import (
+    BadSize,
     DomainError,
     FactorOutOfRange,
     IndexOutOfRange,
@@ -25,7 +27,7 @@ from .errors import (
     SizeTooLarge,
     ValueOutOfRange,
 )
-from .trees import TreeClass, binary_caterpillar, params
+from .trees import TreeClass, binary_caterpillar, ln_bounds, matula_number, params, star
 
 _RANGE_ERRORS = (IndexOutOfRange, ValueOutOfRange, FactorOutOfRange, SizeTooLarge)
 
@@ -91,6 +93,9 @@ def _build_parser():
     p.add_argument("--max", type=int, required=True, dest="k_max")
 
     p = vsub.add_parser("max-topological", help="caterpillar is the leaf-count maximum")
+    p.add_argument("--leaves", type=int, required=True)
+
+    p = vsub.add_parser("min-topological", help="star is the leaf-count minimum")
     p.add_argument("--leaves", type=int, required=True)
 
     p = vsub.add_parser("min-binary", help="balanced tree is the binary minimum")
@@ -227,43 +232,39 @@ def _verdict(args, fields, ok):
     return 0 if ok else 4
 
 
-def _verify_max_topological(args, oracle):
-    n = args.leaves
-    report = extremal.exhaustive_max(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n), oracle)
-    expected_value = extremal.caterpillar_numbers(n, oracle)[-1]
-    ok = report.optimum == expected_value and report.witness == binary_caterpillar(n)
+def _topological_star(n):
+    if n < 2:
+        raise BadSize(f"a topological star needs n >= 2 leaves, got {n}")
+    return star(n)
+
+
+# verb -> (tree class, size flag, maximum?, the claimed extremal tree)
+_CLAIMS = {
+    "max-topological": (TreeClass.TOPOLOGICAL, "leaves", True, binary_caterpillar),
+    "min-topological": (TreeClass.TOPOLOGICAL, "leaves", False, _topological_star),
+    "gi-max": (TreeClass.ROOTED, "vertices", True, extremal.gi_max_tree),
+    "min-binary": (TreeClass.BINARY, "leaves", False, extremal.min_binary_tree),
+}
+
+
+def _verify_claim(args, oracle):
+    """Certify the claimed tree by the branch-size dynamic program; print
+    its exact number while that is feasible, else its bounds on ln M."""
+    tree_class, flag, maximum, claim = _CLAIMS[args.verb]
+    n = getattr(args, flag)
+    found = extremal.extremal_tree(tree_class, n, maximum, oracle)
+    expected = claim(n)
+    key = "maximum" if maximum else "minimum"
+    try:
+        value = {key: str(matula_number(found, oracle))}
+    except IndexOutOfRange:
+        lo, hi = ln_bounds(found, oracle)
+        value = {f"ln_{key}": f"[{lo!r},{hi!r}]"}
     return _verdict(args, {
-        "leaves": n,
-        "maximum": str(report.optimum),
-        "witness": treetext.serialize(report.witness),
-        "examined": report.examined,
-    }, ok)
-
-
-def _verify_min_binary(args, oracle):
-    k = args.leaves
-    report = extremal.min_binary_bnb(k, oracle)
-    expected_value = extremal.min_binary_numbers(k, oracle)[-1]
-    ok = report.optimum == expected_value and report.witness == extremal.min_binary_tree(k)
-    return _verdict(args, {
-        "leaves": k,
-        "minimum": str(report.optimum),
-        "witness": treetext.serialize(report.witness),
-        "examined": report.examined,
-        "pruned": report.pruned,
-        "exhaustive": report.exhaustive,
-    }, ok)
-
-
-def _verify_gi_max(args, oracle):
-    n = args.vertices
-    report = extremal.exhaustive_max(EnumSpec(TreeClass.ROOTED, "vertices", n), oracle)
-    return _verdict(args, {
-        "vertices": n,
-        "maximum": str(report.optimum),
-        "witness": treetext.serialize(report.witness),
-        "examined": report.examined,
-    }, report.witness == extremal.gi_max_tree(n))
+        flag: n,
+        **value,
+        "witness": treetext.serialize(found),
+    }, found == expected)
 
 
 def _verify_prime_bounds(args, oracle):
@@ -317,10 +318,8 @@ _COMMANDS = {
 
 _VERIFIERS = {
     "lemma1": _verify_lemma1,
-    "max-topological": _verify_max_topological,
-    "min-binary": _verify_min_binary,
-    "gi-max": _verify_gi_max,
     "prime-bounds": _verify_prime_bounds,
+    **dict.fromkeys(_CLAIMS, _verify_claim),
 }
 
 

@@ -4,7 +4,7 @@ Generation works bottom-up by multiset composition: a tree is a root plus a
 multiset of strictly smaller trees of the same class whose sizes add up, so
 choosing branch multisets through combinations-with-replacement kills
 isomorphic duplicates at the source instead of filtering them afterwards.
-``count_trees`` runs the same composition on binomial coefficients alone,
+``count_trees`` counts the same classes by recurrences on integers alone,
 giving an arithmetic cross-check that never materializes a tree.  Nothing
 here recurses, and the pools and counts of smaller sizes belong to one call.
 
@@ -22,7 +22,6 @@ independent, so callers wanting parallelism can safely split on them (trees
 are immutable values).
 """
 
-import math
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, groupby, product
 
@@ -120,21 +119,40 @@ def enumerate_trees(spec: EnumSpec, cap=None):
 
 
 def count_trees(spec: EnumSpec, cap=None) -> int:
-    """Number of isomorphism classes, by pure multiset-composition arithmetic.
+    """Number of isomorphism classes, by arithmetic alone in O(n^2) steps.
 
-    Matches len(list(enumerate_trees(spec))) but touches no tree: for each
-    size partition of the branches the number of multiset choices is the
-    product of C(classes + copies - 1, copies) over the distinct part sizes.
-    The counts of smaller sizes belong to this call alone.
+    Matches len(list(enumerate_trees(spec))) but touches no tree.  Binary
+    trees pair two branch sizes a <= n - a.  The other classes count
+    forests: forests[s], the multisets of trees of total size s, is the
+    Euler transform of trees[k], the trees of size k.  A rooted tree of n
+    vertices is a root over a forest of n - 1 vertices; a topological tree
+    of n leaves is a forest of n leaves with at least two trees, so
+    forests[n] = 2 trees[n].  The counts of smaller sizes belong to this
+    call alone.
     """
     _validate(spec, cap)
-    counts = {1: 1}
-    for n in range(2, spec.size + 1):
-        counts[n] = 0
-        for parts in _branch_partitions(spec.tree_class, n):
-            choices = 1
-            for size, grp in groupby(parts):
-                copies = len(tuple(grp))
-                choices *= math.comb(counts[size] + copies - 1, copies)
-            counts[n] += choices
-    return counts[spec.size]
+    n = spec.size
+    if spec.tree_class is TreeClass.BINARY:
+        counts = [0, 1]
+        for s in range(2, n + 1):
+            pairs = sum(counts[a] * counts[s - a] for a in range(1, (s + 1) // 2))
+            if s % 2 == 0:
+                pairs += counts[s // 2] * (counts[s // 2] + 1) // 2
+            counts.append(pairs)
+        return counts[n]
+    trees = [0, 1]
+    forests = [1]
+    # weights[k]: the sum of d * trees[d] over the divisors d of k
+    weights = [0]
+    for s in range(1, n + 1):
+        tail = sum(weights[k] * forests[s - k] for k in range(1, s))
+        below = sum(d * trees[d] for d in range(1, s) if s % d == 0)
+        if s > 1:
+            if spec.tree_class is TreeClass.ROOTED:
+                trees.append(forests[s - 1])
+            else:
+                # forests[s] = trees[s] + (tail + below) / s = 2 trees[s]
+                trees.append((tail + below) // s)
+        weights.append(below + s * trees[s])
+        forests.append((tail + weights[s]) // s)
+    return trees[n]

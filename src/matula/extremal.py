@@ -1,4 +1,5 @@
-"""Extremal constructions, their number sequences, and verification searches.
+"""Extremal constructions, their number sequences, and one certificate for
+the extremal claims.
 
 Two families of extremal binary trees drive everything here:
 
@@ -11,30 +12,28 @@ Two families of extremal binary trees drive everything here:
   l_k = p_{l_{2^s}} p_{l_{r+2^s}} when r <= 2^s and p_{l_r} p_{l_{2^{s+1}}}
   otherwise; it is conjecturally the minimum over binary trees by leaves.
 
-``exhaustive_max`` / ``exhaustive_min`` brute-force a whole enumeration
-stream.  ``min_binary_bnb`` certifies binary minima without enumeration:
-the minimum over trees splitting a leaves left and b right is exactly
-p_{mu_a} p_{mu_b} for the level minima mu (the prime sequence is strictly
-increasing), so a branch-and-bound over split sizes with memoized level
-minima is complete.  Splits are pruned against the incumbent with rigorous
-lower bounds only (the trivial p_m > m, then Robin's theorem), so a report
-with ``exhaustive=True`` is an exact certificate; when a needed prime
-exceeds the oracle ceiling the search degrades to ``exhaustive=False``
-instead of failing, counting the unexplored splits as neither examined nor
-pruned.
+``extremal_tree`` finds the tree with the largest or smallest Matula number
+of a class and size without enumeration.  Once the sizes of the root's
+branches are fixed, the extremal tree takes the extremal tree of each size
+in every branch, because p_m increases with m and the branches are
+independent.  So a dynamic program over branch sizes is complete.  Trees
+are compared by ``compare_matula`` alone: exact numbers inside the sieved
+prefix, rigorous bounds on ln M past it, and exact numbers when two bounds
+overlap, which raises IndexOutOfRange past the oracle ceiling.  Each scan
+starts from the claimed candidate and compares every rival with the
+incumbent only, so a true claim is never held up by two rivals whose
+bounds overlap.
 """
 
 from dataclasses import dataclass
 
-from .codec import encode
-from .enumerator import EnumSpec, enumerate_trees
-from .errors import BadSize, DomainError, IndexOutOfRange
-from .primes import default_oracle, robin_lower
-from .trees import Tree, join, leaf
+from .errors import BadSize, DomainError, IndexOutOfRange, SizeTooLarge
+from .primes import default_oracle
+from .trees import Tree, TreeClass, compare_matula, join, leaf
 
-# Pruning compares float lower bounds against exact integers; shave a hair
-# off the bound so float rounding can never prune a split it should not.
-_FLOAT_SAFETY = 1 - 1e-9
+# Largest size extremal_tree accepts.  Its tree work grows as n^3; at 300
+# the slowest claim, the star, takes about 5 s on a 2-CPU host.
+SIZE_CAP = 300
 
 
 def caterpillar_numbers(k_max: int, oracle=None):
@@ -156,117 +155,50 @@ def check_caterpillar_inequality(k_max: int, oracle=None):
     return records
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    """Outcome of an extremal search.
+def extremal_tree(tree_class: TreeClass, n: int, maximum: bool, oracle=None) -> Tree:
+    """The tree of the class and size with the largest (``maximum``) or the
+    smallest Matula number; sizes count leaves, or vertices for rooted trees.
 
-    ``examined`` counts candidates whose Matula number was evaluated
-    exactly, ``pruned`` those discarded by a rigorous bound, and
-    ``exhaustive`` whether the optimum is certified over the whole class
-    (False only when some candidate needed a prime beyond the ceiling).
+    With best[s] the extremal tree of size s, level s is the best of
+    join(best[k], *forest[s - k]) over 1 <= k < s for topological trees,
+    join(*forest[s - 1]) for rooted trees, and join(best[a], best[s - a])
+    for binary trees.  forest[t] is the best multiset of trees of total size
+    t, compared as join(*forest[t]): an unbounded knapsack over best[],
+    found the same way.  Raises SizeTooLarge past ``SIZE_CAP``, and
+    IndexOutOfRange when two candidates' bounds overlap and their exact
+    numbers need a prime past the ceiling.
     """
+    if n < 1:
+        raise DomainError(f"size must be >= 1, got {n}")
+    if n > SIZE_CAP:
+        raise SizeTooLarge(f"extremal size {n} exceeds cap {SIZE_CAP}", size=n, cap=SIZE_CAP)
+    wanted = 1 if maximum else -1
 
-    optimum: int
-    witness: Tree
-    examined: int
-    pruned: int
-    exhaustive: bool
+    def best_of(candidates):
+        incumbent = None
+        for branches in candidates:
+            rival = join(*branches)
+            if incumbent is None or compare_matula(rival, incumbent, oracle) == wanted:
+                incumbent = rival
+        return incumbent
 
-
-def exhaustive_max(spec: EnumSpec, oracle=None) -> SearchReport:
-    """Exact maximum Matula number over an enumeration stream."""
-    return _scan(spec, oracle, want_max=True)
-
-
-def exhaustive_min(spec: EnumSpec, oracle=None) -> SearchReport:
-    """Exact minimum Matula number over an enumeration stream."""
-    return _scan(spec, oracle, want_max=False)
-
-
-def _scan(spec, oracle, want_max):
-    if oracle is None:
-        oracle = default_oracle()
-    best = None
-    witness = None
-    examined = 0
-    for t in enumerate_trees(spec):
-        m = encode(t, oracle)
-        examined += 1
-        if best is None or (m > best if want_max else m < best):
-            best, witness = m, t
-    return SearchReport(
-        optimum=best, witness=witness, examined=examined, pruned=0, exhaustive=True
-    )
-
-
-def min_binary_bnb(k: int, oracle=None) -> SearchReport:
-    """Certified minimum Matula number over binary trees with k leaves.
-
-    Dynamic program over root splits: level j's minimum is the best
-    p_{mu_a} p_{mu_b} over a + b = j, seeded with the balanced split as
-    incumbent and pruning the rest by mu_a mu_b (since p_m > m) or by
-    Robin's lower bound.  A pruned split provably cannot beat the incumbent;
-    an evaluated split that does becomes the new incumbent, so a smaller
-    witness than the balanced construction would be found and reported, not
-    hidden.  Splits whose exact evaluation exceeds the oracle ceiling make
-    the report non-exhaustive.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    if oracle is None:
-        oracle = default_oracle()
-
-    minima = {1: (1, leaf())}
-    # The lone 1-leaf candidate needs no evaluation; count it only when it
-    # is the whole search.
-    examined = 1 if k == 1 else 0
-    pruned = 0
-    exhaustive = True
-
-    for j in range(2, k + 1):
-        splits = [_balanced_split(j)]
-        splits += [(a, j - a) for a in range(1, j // 2 + 1) if (a, j - a) != splits[0]]
-        best = None
-        witness = None
-        for a, b in splits:
-            mu_a, wit_a = minima[a]
-            mu_b, wit_b = minima[b]
-            if best is not None:
-                if mu_a * mu_b >= best:
-                    pruned += 1
-                    continue
-                if _prime_floor(mu_a) * _prime_floor(mu_b) >= best:
-                    pruned += 1
-                    continue
-            try:
-                value = oracle.nth_prime(mu_a) * oracle.nth_prime(mu_b)
-            except IndexOutOfRange:
-                exhaustive = False
-                continue
-            examined += 1
-            if best is None or value < best:
-                best, witness = value, join(wit_a, wit_b)
-        if best is None:
-            # Not even one split of this level was evaluable; nothing above
-            # it can be either.
-            raise IndexOutOfRange(
-                f"no {j}-leaf split evaluable under ceiling {oracle.limit_value}",
-                limit_value=oracle.limit_value,
-            )
-        minima[j] = (best, witness)
-
-    optimum, witness = minima[k]
-    return SearchReport(
-        optimum=optimum,
-        witness=witness,
-        examined=examined,
-        pruned=pruned,
-        exhaustive=exhaustive,
-    )
-
-
-def _prime_floor(m):
-    """A rigorous lower bound on the m-th prime, cheap and oracle-free."""
-    if m == 1:
-        return 2
-    return robin_lower(m) * _FLOAT_SAFETY
+    # Each scan lists the claimed candidate first: topological levels start
+    # at k = 1 (caterpillar, star), forests at one tree for maxima (the
+    # Gutman-Ivic tree is a root over one branch) and at all leaves for
+    # minima, binary minima at the balanced split.
+    best = [None, leaf()]
+    forest = [()]
+    for s in range(2, n + 1):
+        if tree_class is TreeClass.BINARY:
+            first = (1, s - 1) if maximum else _balanced_split(s)
+            splits = [first] + [(a, s - a) for a in range(1, s // 2 + 1) if a != first[0]]
+            best.append(best_of((best[a], best[b]) for a, b in splits))
+            continue
+        t = s - 1
+        parts = range(t, 0, -1) if maximum else range(1, t + 1)
+        forest.append(best_of((best[k], *forest[t - k]) for k in parts).children)
+        if tree_class is TreeClass.ROOTED:
+            best.append(join(*forest[t]))
+        else:
+            best.append(best_of((best[k], *forest[s - k]) for k in range(1, s)))
+    return best[n]

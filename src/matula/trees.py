@@ -123,6 +123,13 @@ def matula_number(t: Tree, oracle=None) -> int:
     return t._mnum
 
 
+def ln_bounds(t: Tree, oracle=None):
+    """Rigorous bounds (lo, hi) on ln M(t), from primes in the sieved prefix
+    and bounds on p_m past it; no prime past the prefix is computed."""
+    _fill(t, oracle, exact=False)
+    return _ln_bounds(t)
+
+
 def compare_matula(a: Tree, b: Tree, oracle=None) -> int:
     """Total order on trees by Matula number (equal iff isomorphic)."""
     if a is b:

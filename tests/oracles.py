@@ -3,14 +3,17 @@
 Everything here is deliberately written against different algorithms than
 the package code paths it verifies: a monolithic byte-per-integer sieve
 (the package uses odd-only segmented kernels), all-pairs BFS for structural
-parameters (the package decomposes over edges), and the classic two-case
-recursion for binary tree counts (the package counts via multiset
-compositions).
+parameters (the package decomposes over edges), the classic two-case
+recursion for binary tree counts (the package loops over pairs), and an
+exhaustive scan that encodes every enumerated tree for the extremal trees
+(the package runs a dynamic program over branch sizes).
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from functools import lru_cache
 from math import isqrt
+
+from matula import encode, enumerate_trees
 
 # OEIS A000669: series-reduced planted trees by number of leaves.
 A000669 = [1, 1, 2, 5, 12, 33, 90, 261, 766, 2312, 7068, 21965]
@@ -123,3 +126,19 @@ def wedderburn_etherington(n):
         half = wedderburn_etherington(n // 2)
         total += half * (half + 1) // 2
     return total
+
+
+Scan = namedtuple("Scan", "optimum witness examined")
+
+
+def exhaustive_extremum(spec, maximum, oracle=None):
+    """The largest (``maximum``) or smallest Matula number over an
+    enumeration stream, with its tree, by encoding every tree."""
+    optimum = witness = None
+    examined = 0
+    for t in enumerate_trees(spec):
+        m = encode(t, oracle)
+        examined += 1
+        if optimum is None or (m > optimum if maximum else m < optimum):
+            optimum, witness = m, t
+    return Scan(optimum, witness, examined)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from functools import reduce
 from contextlib import redirect_stderr, redirect_stdout
+from math import log
 from unittest import mock
 
 import pytest
@@ -209,7 +210,42 @@ def test_verify_min_binary(capsys):
     code, out, _ = run_cli(capsys, "verify", "min-binary", "--leaves", "6")
     assert code == 0
     assert "minimum=1589" in out
-    assert "exhaustive=True" in out
+
+
+def test_verify_min_topological(capsys):
+    code, out, _ = run_cli(capsys, "verify", "min-topological", "--leaves", "6")
+    assert (code, out) == (0, "leaves=6 minimum=64 witness=(*,*,*,*,*,*) ok\n")
+
+
+def test_verify_prints_the_certified_interval_past_the_ceiling(capsys):
+    # q_6 = 13766 = 2 p_886 needs p_886 = 6883, past a ceiling of 5000.
+    code, out, _ = run_cli(
+        capsys, "--prime-bound", "5000", "verify", "max-topological", "--leaves", "6"
+    )
+    assert code == 0 and out.endswith(" ok\n")
+    interval = out.split()[1].removeprefix("ln_maximum=")
+    lo, hi = map(float, interval.strip("[]").split(","))
+    assert lo < log(13766) < hi
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["gi-max", "--vertices", "4"], 2, "n >= 5"),
+        (["min-topological", "--leaves", "1"], 2, "n >= 2"),
+        (["max-topological", "--leaves", "0"], 2, ">= 1"),
+        (["min-binary", "--leaves", str(extremal.SIZE_CAP + 1)], 3, "exceeds cap"),
+        # The first size whose two best splits have overlapping bounds:
+        # their exact numbers need a prime past the ceiling.
+        (["min-binary", "--leaves", "95"], 3, "offending index 64474684537"),
+    ],
+    ids=["gi-max-4", "min-topological-1", "max-topological-0", "past-the-cap",
+         "min-binary-95"],
+)
+def test_verify_sizes_out_of_range(capsys, argv, code, message):
+    got, out, err = run_cli(capsys, "verify", *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_verify_gi_max(capsys):
@@ -225,20 +261,14 @@ def test_verify_prime_bounds(capsys):
 
 
 def test_verify_failure_trips_exit_4(capsys, monkeypatch):
-    real = extremal.exhaustive_max
+    real = extremal.extremal_tree
 
-    def corrupted(spec, oracle=None):
-        report = real(spec, oracle)
-        return type(report)(
-            optimum=report.optimum + 1,
-            witness=report.witness,
-            examined=report.examined,
-            pruned=report.pruned,
-            exhaustive=report.exhaustive,
-        )
+    def corrupted(tree_class, n, maximum, oracle=None):
+        # The opposite extremum: a real tree of the class and size, but not
+        # the claimed one.
+        return real(tree_class, n, not maximum, oracle)
 
-    monkeypatch.setattr(extremal, "exhaustive_max", corrupted)
-    monkeypatch.setattr(cli.extremal, "exhaustive_max", corrupted)
+    monkeypatch.setattr(extremal, "extremal_tree", corrupted)
     code, out, _ = run_cli(capsys, "verify", "max-topological", "--leaves", "4")
     assert code == 4
     assert "MISMATCH" in out
@@ -379,6 +409,16 @@ _FAST_ARGV = st.one_of(
         st.sampled_from(["nth", "index", "pi", "other"]),
         _NUMBER_TEXT,
     ),
+    st.tuples(
+        st.just("--prime-bound"),
+        st.integers(-1, 5000).map(str),
+        st.just("verify"),
+        st.sampled_from(
+            [("max-topological", "--leaves"), ("min-topological", "--leaves"),
+             ("gi-max", "--vertices"), ("min-binary", "--leaves")]
+        ),
+        st.integers(-2, 30).map(str),
+    ).map(lambda argv: (*argv[:3], *argv[3], argv[4])),
     st.tuples(
         st.just("enumerate"),
         st.just("--class"),

@@ -12,17 +12,17 @@ from matula import (
     check_caterpillar_inequality,
     decode,
     encode,
-    exhaustive_max,
-    exhaustive_min,
+    extremal_tree,
     gi_max_tree,
     join,
     leaf,
-    min_binary_bnb,
     min_binary_numbers,
     min_binary_tree,
     params,
     star,
 )
+
+from oracles import exhaustive_extremum
 
 L_VALUES = [1, 4, 14, 49, 301, 1589, 9761, 51529, 452411, 3041573, 23140153]
 
@@ -92,7 +92,7 @@ def test_gi_max_tree_values(oracle):
 
 def test_gi_max_tree_is_brute_force_argmax(oracle):
     for n in (5, 6, 7):
-        report = exhaustive_max(EnumSpec(TreeClass.ROOTED, "vertices", n), oracle)
+        report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", n), True, oracle)
         assert report.witness == gi_max_tree(n)
         assert report.optimum == encode(gi_max_tree(n), oracle)
 
@@ -128,28 +128,32 @@ def test_inequality_lhs_matches_direct_primes(oracle):
 
 
 def test_exhaustive_max_topological(oracle):
-    report = exhaustive_max(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 4), oracle)
+    spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 4)
+    report = exhaustive_extremum(spec, True, oracle)
     assert report.optimum == 86
     assert report.witness == binary_caterpillar(4)
     assert report.examined == 5
-    assert report.exhaustive
-    report = exhaustive_max(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6), oracle)
+    spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6)
+    report = exhaustive_extremum(spec, True, oracle)
     assert report.optimum == 13766
     assert report.witness == binary_caterpillar(6)
+    assert extremal_tree(TreeClass.TOPOLOGICAL, 6, True, oracle) == report.witness
 
 
 def test_exhaustive_max_rooted_five(oracle):
-    report = exhaustive_max(EnumSpec(TreeClass.ROOTED, "vertices", 5), oracle)
+    report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", 5), True, oracle)
     assert report.optimum == 19
     assert report.examined == 9
     assert report.witness == gi_max_tree(5)
+    assert extremal_tree(TreeClass.ROOTED, 5, True, oracle) == report.witness
 
 
 def test_exhaustive_min_topological(oracle):
-    report = exhaustive_min(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6), oracle)
+    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6), False, oracle)
     assert report.optimum == 64
     assert report.witness == star(6)
-    report = exhaustive_min(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 2), oracle)
+    assert extremal_tree(TreeClass.TOPOLOGICAL, 6, False, oracle) == star(6)
+    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 2), False, oracle)
     assert report.optimum == 4
     assert report.examined == 1
 
@@ -157,58 +161,89 @@ def test_exhaustive_min_topological(oracle):
 def test_exhaustive_min_rooted_reports_witness(oracle):
     # No assertion about the witness shape here, only internal consistency:
     # the true minimum is whatever the stream minimum is.
-    report = exhaustive_min(EnumSpec(TreeClass.ROOTED, "vertices", 5), oracle)
+    spec = EnumSpec(TreeClass.ROOTED, "vertices", 5)
+    report = exhaustive_extremum(spec, False, oracle)
     assert encode(report.witness, oracle) == report.optimum
-    values = [
-        encode(t, oracle)
-        for t in __import__("matula").enumerate_trees(
-            EnumSpec(TreeClass.ROOTED, "vertices", 5)
-        )
-    ]
+    values = [encode(t, oracle) for t in __import__("matula").enumerate_trees(spec)]
     assert report.optimum == min(values)
+    assert extremal_tree(TreeClass.ROOTED, 5, False, oracle) == report.witness
+
+
+# (class, the largest size the acceptance suite enumerates) for each class.
+_SCANNED = [(TreeClass.TOPOLOGICAL, 8), (TreeClass.ROOTED, 10), (TreeClass.BINARY, 8)]
+
+
+@pytest.mark.parametrize("maximum", [True, False], ids=["max", "min"])
+@pytest.mark.parametrize("tree_class, largest", _SCANNED, ids=["topological", "rooted", "binary"])
+def test_extremal_tree_matches_the_scan(oracle, tree_class, largest, maximum):
+    kind = "vertices" if tree_class is TreeClass.ROOTED else "leaves"
+    for n in range(1, largest + 1):
+        report = exhaustive_extremum(EnumSpec(tree_class, kind, n), maximum, oracle)
+        assert extremal_tree(tree_class, n, maximum, oracle) == report.witness, n
+
+
+@pytest.mark.parametrize(
+    "tree_class, n, maximum, claim",
+    [
+        (TreeClass.TOPOLOGICAL, 100, True, binary_caterpillar),
+        (TreeClass.TOPOLOGICAL, 100, False, star),
+        (TreeClass.ROOTED, 100, True, gi_max_tree),
+        (TreeClass.BINARY, 64, False, min_binary_tree),
+        (TreeClass.BINARY, 94, False, min_binary_tree),
+    ],
+    ids=["caterpillar", "star", "gutman-ivic", "balanced-64", "balanced-94"],
+)
+def test_extremal_tree_certifies_the_claims_past_the_ceiling(tree_class, n, maximum, claim):
+    # Exact numbers are infeasible here (but for the star's); every
+    # comparison the claim needs is decided by bounds on ln M.
+    assert extremal_tree(tree_class, n, maximum) == claim(n)
 
 
 def test_bnb_small(oracle):
-    report = min_binary_bnb(2, oracle)
-    assert report.optimum == 4
-    assert report.examined == 1
-    assert report.exhaustive
-    report = min_binary_bnb(1, oracle)
-    assert report.optimum == 1
-    assert report.witness == leaf()
+    witness = extremal_tree(TreeClass.BINARY, 2, False, oracle)
+    assert encode(witness, oracle) == 4
+    assert witness == join(leaf(), leaf())
+    assert extremal_tree(TreeClass.BINARY, 1, False, oracle) == leaf()
 
 
 def test_bnb_matches_sequence(oracle):
     values = min_binary_numbers(12, oracle)
     for k in range(1, 13):
-        report = min_binary_bnb(k, oracle)
-        assert report.exhaustive
-        assert report.optimum == values[k - 1]
-        assert report.witness == min_binary_tree(k)
+        witness = extremal_tree(TreeClass.BINARY, k, False, oracle)
+        assert encode(witness, oracle) == values[k - 1]
+        assert witness == min_binary_tree(k)
 
 
 def test_bnb_agrees_with_brute_force(oracle):
     for k in range(2, 9):
-        brute = exhaustive_min(EnumSpec(TreeClass.BINARY, "leaves", k), oracle)
-        report = min_binary_bnb(k, oracle)
-        assert report.optimum == brute.optimum
-        assert report.witness == brute.witness
+        brute = exhaustive_extremum(EnumSpec(TreeClass.BINARY, "leaves", k), False, oracle)
+        witness = extremal_tree(TreeClass.BINARY, k, False, oracle)
+        assert encode(witness, oracle) == brute.optimum
+        assert witness == brute.witness
 
 
 def test_bnb_eleven(oracle):
-    report = min_binary_bnb(11, oracle)
-    assert report.optimum == 23140153
-    assert report.exhaustive
-    assert report.pruned > 0
+    witness = extremal_tree(TreeClass.BINARY, 11, False, oracle)
+    assert encode(witness, oracle) == 23140153
+    assert witness == min_binary_tree(11)
 
 
 def test_bnb_degrades_without_failing():
+    # Under a ceiling of 100 the certificate either returns the claimed tree
+    # or raises IndexOutOfRange naming an index; it never returns another
+    # tree.
     small = PrimeOracle(limit_value=100)
-    report = min_binary_bnb(6, small)
-    assert not report.exhaustive
-    # With primes only up to 100 the balanced levels above 4 are not all
-    # evaluable; whatever optimum is reported must come from a real tree.
-    assert report.optimum >= L_VALUES[5]
+    outcomes = []
+    for k in range(1, 13):
+        try:
+            witness = extremal_tree(TreeClass.BINARY, k, False, small)
+        except IndexOutOfRange as exc:
+            assert exc.index is not None
+            outcomes.append("range")
+        else:
+            assert witness == min_binary_tree(k)
+            outcomes.append("claim")
+    assert outcomes[0] == "claim" and "range" in outcomes
 
 
 def test_domain_errors(oracle):
@@ -217,6 +252,6 @@ def test_domain_errors(oracle):
     with pytest.raises(DomainError):
         min_binary_numbers(0, oracle)
     with pytest.raises(DomainError):
-        min_binary_bnb(0, oracle)
+        extremal_tree(TreeClass.BINARY, 0, False, oracle)
     with pytest.raises(DomainError):
         check_caterpillar_inequality(1, oracle)

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from math import log
 
 import pytest
@@ -23,7 +24,7 @@ from matula import (
 )
 from matula.codec import decode
 from matula.primes import _ln_prime_bounds
-from matula.trees import _WIDEN, _ln_bounds
+from matula.trees import _WIDEN, _ln_bounds, ln_bounds
 
 from oracles import MonolithicSieve, bfs_params
 
@@ -166,6 +167,18 @@ def test_compare_matula_past_the_prefix(oracle):
         assert c == _sign(numbers[i], numbers[j]), (i, j)
     for (lo, hi), n in zip(bounds, numbers):
         assert lo <= log(n) <= hi
+
+
+def test_ln_bounds_contain_ln_m(oracle):
+    # Against ln M to 40 digits: a bound not widened past the rounding of
+    # float logs fails here, since the float log of M is never ln M itself.
+    trees = [decode(n, oracle) for n in (2, 3, 42, 360, 10**6 + 3, 2**8 * 3**4 * 43)]
+    trees += [star(30), join(decode(5 * 10**6, oracle), leaf())]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for t in trees:
+            lo, hi = ln_bounds(t, oracle)
+            assert Decimal(lo) < Decimal(encode(t, oracle)).ln() < Decimal(hi)
 
 
 def test_deep_trees_compare_without_recursion():
