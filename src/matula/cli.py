@@ -13,7 +13,10 @@ import argparse
 import json
 import signal
 import sys
+from contextlib import suppress
 from dataclasses import asdict
+from itertools import islice
+from math import log
 
 from . import extremal, primes, treetext
 from .codec import decode, encode
@@ -104,7 +107,7 @@ def _build_parser():
     p = vsub.add_parser("gi-max", help="Gutman-Ivic tree is the vertex-count maximum")
     p.add_argument("--vertices", type=int, required=True)
 
-    p = vsub.add_parser("prime-bounds", help="Robin / Rosser-Schoenfeld envelope")
+    p = vsub.add_parser("prime-bounds", help="Robin / Rosser-Schoenfeld / Dusart bounds")
     p.add_argument("--max-m", type=int, required=True)
 
     return parser
@@ -121,19 +124,19 @@ def _six_figures(x: float) -> str:
     return f"{x:.5e}"
 
 
-def _cmd_encode(args, oracle):
+def _cmd_encode(args):
     if args.tree == "-":
         texts = [line.strip() for line in sys.stdin if line.strip()]
     else:
         texts = [args.tree]
     for text in texts:
-        n = encode(treetext.parse(text), oracle)
+        n = encode(treetext.parse(text))
         _emit(args, {"matula": str(n)}, str(n))
     return 0
 
 
-def _cmd_decode(args, oracle):
-    t = decode(args.number, oracle)
+def _cmd_decode(args):
+    t = decode(args.number)
     if args.dot:
         out = treetext.to_dot(t)
         _emit(args, {"dot": out}, out.rstrip("\n"))
@@ -143,10 +146,10 @@ def _cmd_decode(args, oracle):
     return 0
 
 
-def _cmd_params(args, oracle):
+def _cmd_params(args):
     raw = args.tree_or_number.strip()
     if raw.isdecimal():
-        t = decode(int(raw), oracle)
+        t = decode(int(raw))
     else:
         t = treetext.parse(raw)
     p = params(t)
@@ -160,7 +163,7 @@ def _cmd_params(args, oracle):
     return 0
 
 
-def _cmd_enumerate(args, oracle):
+def _cmd_enumerate(args):
     tree_class = TreeClass(args.tree_class)
     if args.leaves is not None:
         spec = EnumSpec(tree_class, "leaves", args.leaves)
@@ -175,24 +178,25 @@ def _cmd_enumerate(args, oracle):
     for t in enumerate_trees(spec, cap):
         text = treetext.serialize(t)
         if args.with_matula:
-            m = encode(t, oracle)
+            m = encode(t)
             _emit(args, {"tree": text, "matula": str(m)}, f"{text}\t{m}")
         else:
             _emit(args, {"tree": text}, text)
     return 0
 
 
-def _cmd_seq(args, oracle):
+def _cmd_seq(args):
     if args.which == "q":
-        values = extremal.caterpillar_numbers(args.k_max, oracle)
+        values = extremal.caterpillar_numbers(args.k_max)
     else:
-        values = extremal.min_binary_numbers(args.k_max, oracle)
+        values = extremal.min_binary_numbers(args.k_max)
     for k, value in enumerate(values, start=1):
         _emit(args, {"k": k, "value": str(value)}, f"{k}\t{value}")
     return 0
 
 
-def _cmd_primes(args, oracle):
+def _cmd_primes(args):
+    oracle = primes.default_oracle()
     if args.query == "nth":
         result = oracle.nth_prime(args.argument)
     elif args.query == "index":
@@ -203,9 +207,9 @@ def _cmd_primes(args, oracle):
     return 0
 
 
-def _verify_lemma1(args, oracle):
+def _verify_lemma1(args):
     ok = True
-    for rec in extremal.check_caterpillar_inequality(args.k_max, oracle):
+    for rec in extremal.check_caterpillar_inequality(args.k_max):
         ok = ok and rec.holds
         status = "holds" if rec.holds else "VIOLATED"
         suffix = " (equality)" if rec.equality else ""
@@ -247,18 +251,24 @@ _CLAIMS = {
 }
 
 
-def _verify_claim(args, oracle):
+def _verify_claim(args):
     """Certify the claimed tree by the branch-size dynamic program; print
     its exact number while that is feasible, else its bounds on ln M."""
     tree_class, flag, maximum, claim = _CLAIMS[args.verb]
     n = getattr(args, flag)
-    found = extremal.extremal_tree(tree_class, n, maximum, oracle)
+    found = extremal.extremal_tree(tree_class, n, maximum)
     expected = claim(n)
     key = "maximum" if maximum else "minimum"
-    try:
-        value = {key: str(matula_number(found, oracle))}
-    except IndexOutOfRange:
-        lo, hi = ln_bounds(found, oracle)
+    value = None
+    # p_m > m, so a root branch whose number exceeds the ceiling dooms the
+    # exact number: skip it rather than compute far primes only to be
+    # refused.  The margin covers rounding in log().
+    ln_ceiling = log(primes.default_oracle().limit_value) * (1 + 1e-12)
+    if all(ln_bounds(branch)[0] <= ln_ceiling for branch in found.children):
+        with suppress(IndexOutOfRange):
+            value = {key: str(matula_number(found))}
+    if value is None:
+        lo, hi = ln_bounds(found)
         value = {f"ln_{key}": f"[{lo!r},{hi!r}]"}
     return _verdict(args, {
         flag: n,
@@ -267,28 +277,29 @@ def _verify_claim(args, oracle):
     }, found == expected)
 
 
-def _verify_prime_bounds(args, oracle):
+def _violation(args, m, p, bound):
+    _emit(
+        args,
+        {"m": m, "p": str(p), "bound": bound, "ok": False},
+        f"m={m} p={p} VIOLATES {bound} bound",
+    )
+    return 1
+
+
+def _verify_prime_bounds(args):
     m_max = args.max_m
     if m_max < 2:
         raise DomainError(f"--max-m must be >= 2, got {m_max}")
-    table = oracle.primes_up_to_index(m_max)
+    # The primes stream past in order, so memory stays bounded for any m_max.
+    stream = primes.default_oracle().primes_up_to_index(m_max)
     failures = 0
-    for m in range(2, m_max + 1):
-        p = table[m - 1]
+    for m, p in enumerate(islice(stream, 1, None), start=2):
         if primes.robin_lower(m) > p:
-            failures += 1
-            _emit(
-                args,
-                {"m": m, "p": str(p), "bound": "lower", "ok": False},
-                f"m={m} p={p} VIOLATES lower bound",
-            )
+            failures += _violation(args, m, p, "lower")
         if m >= 20 and p > primes.rosser_schoenfeld_upper(m):
-            failures += 1
-            _emit(
-                args,
-                {"m": m, "p": str(p), "bound": "upper", "ok": False},
-                f"m={m} p={p} VIOLATES upper bound",
-            )
+            failures += _violation(args, m, p, "upper")
+        if m >= 39017 and p > primes._dusart_upper(m):
+            failures += _violation(args, m, p, "dusart")
     lower_of_last = _six_figures(primes.robin_lower(m_max))
     upper_of_last = _six_figures(primes.rosser_schoenfeld_upper(max(m_max, 20)))
     _emit(
@@ -339,14 +350,12 @@ def run(argv=None) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-            # Canonical ordering inside tree construction consults the shared
-            # oracle, so the override must apply process-wide for this run.
+            # Every layer reads the shared oracle, so the override applies
+            # process-wide for this run.
             primes.set_default_oracle(oracle)
-        else:
-            oracle = primes.default_oracle()
         if args.command == "verify":
-            return _VERIFIERS[args.verb](args, oracle)
-        return _COMMANDS[args.command](args, oracle)
+            return _VERIFIERS[args.verb](args)
+        return _COMMANDS[args.command](args)
     except _RANGE_ERRORS as exc:
         detail = getattr(exc, "index", None)
         where = f" (offending index {detail})" if detail is not None else ""

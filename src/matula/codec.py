@@ -19,12 +19,12 @@ from .trees import Tree, leaf, matula_number
 _DECODE_CACHE_MAX_KEY = 1 << 20
 
 
-def encode(t: Tree, oracle=None) -> int:
+def encode(t: Tree) -> int:
     """Matula number of t; memoized per structurally shared subtree."""
-    return matula_number(t, oracle)
+    return matula_number(t)
 
 
-def decode(n: int, oracle=None) -> Tree:
+def decode(n: int) -> Tree:
     """The unique canonical tree whose Matula number is n.
 
     Range errors from the oracle are re-raised with a ``path`` attribute,
@@ -32,22 +32,21 @@ def decode(n: int, oracle=None) -> Tree:
     """
     if n < 1:
         raise MatulaError(f"Matula numbers start at 1, got {n}")
-    if oracle is None:
-        oracle = default_oracle()
-    return _decode(n, oracle, oracle._decode_cache)
+    return _decode(n, default_oracle()._decode_cache)
 
 
-def _decode(n, oracle, cache):
+def _decode(n, cache):
     cached = cache.get(n)
     if cached is not None:
         return cached
     if n == 1:
         result = leaf()
     else:
+        oracle = default_oracle()
         try:
             children = []
             for p, exponent in oracle.factorize(n):
-                child = _decode(oracle.prime_index(p), oracle, cache)
+                child = _decode(oracle.prime_index(p), cache)
                 children.extend([child] * exponent)
         except MatulaError as exc:
             exc.path = [n] + list(getattr(exc, "path", []))

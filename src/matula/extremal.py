@@ -36,7 +36,7 @@ from .trees import Tree, TreeClass, compare_matula, join, leaf
 SIZE_CAP = 300
 
 
-def caterpillar_numbers(k_max: int, oracle=None):
+def caterpillar_numbers(k_max: int):
     """[q_1 .. q_k_max]: Matula numbers of the binary caterpillars.
 
     Raises IndexOutOfRange (with attribute ``k`` set to the first infeasible
@@ -44,8 +44,7 @@ def caterpillar_numbers(k_max: int, oracle=None):
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if oracle is None:
-        oracle = default_oracle()
+    oracle = default_oracle()
     values = [1]
     for k in range(2, k_max + 1):
         try:
@@ -56,12 +55,11 @@ def caterpillar_numbers(k_max: int, oracle=None):
     return values
 
 
-def min_binary_numbers(k_max: int, oracle=None):
+def min_binary_numbers(k_max: int):
     """[l_1 .. l_k_max]: Matula numbers of the balanced minimal binary trees."""
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if oracle is None:
-        oracle = default_oracle()
+    oracle = default_oracle()
     values = [None, 1]
     for k in range(2, k_max + 1):
         a, b = _balanced_split(k)
@@ -127,7 +125,7 @@ class InequalityRecord:
     equality: bool
 
 
-def check_caterpillar_inequality(k_max: int, oracle=None):
+def check_caterpillar_inequality(k_max: int):
     """All instances of the product inequality with k1 + k2 <= k_max.
 
     Every needed p_{q_k} is q_{k+1} / 2 by the recursion, so no prime query
@@ -135,7 +133,7 @@ def check_caterpillar_inequality(k_max: int, oracle=None):
     """
     if k_max < 2:
         raise DomainError(f"k_max must be >= 2, got {k_max}")
-    q = caterpillar_numbers(k_max, oracle)
+    q = caterpillar_numbers(k_max)
     p_of_q = {k: q[k] // 2 for k in range(1, k_max)}  # p_{q_k}, 1-based
     records = []
     for k1 in range(1, k_max):
@@ -155,7 +153,7 @@ def check_caterpillar_inequality(k_max: int, oracle=None):
     return records
 
 
-def extremal_tree(tree_class: TreeClass, n: int, maximum: bool, oracle=None) -> Tree:
+def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
     """The tree of the class and size with the largest (``maximum``) or the
     smallest Matula number; sizes count leaves, or vertices for rooted trees.
 
@@ -178,7 +176,7 @@ def extremal_tree(tree_class: TreeClass, n: int, maximum: bool, oracle=None) -> 
         incumbent = None
         for branches in candidates:
             rival = join(*branches)
-            if incumbent is None or compare_matula(rival, incumbent, oracle) == wanted:
+            if incumbent is None or compare_matula(rival, incumbent) == wanted:
                 incumbent = rival
         return incumbent
 

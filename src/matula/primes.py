@@ -110,6 +110,11 @@ def rosser_schoenfeld_upper(m):
     return m * (log(m) + log(log(m)) - _ROSSER)
 
 
+def _dusart_upper(m):
+    """Dusart's upper bound on the m-th prime, valid for m >= 39017."""
+    return m * (log(m) + log(log(m)) - _DUSART)
+
+
 def _ln_prime_bounds(lo, hi):
     """Bounds (lower, upper) on ln p_m for every m with lo <= ln m <= hi, or
     None when m may lie below 20.  Unwidened against float rounding."""
@@ -290,29 +295,6 @@ class PrimeOracle:
     def limit_value(self) -> int:
         return self._limit_value
 
-    @property
-    def limit_index(self) -> int:
-        """An index certified answerable: every m <= limit_index succeeds.
-
-        Exact when the ceiling is already fully sieved; otherwise derived
-        from the Rosser-Schoenfeld bound, so somewhat conservative (queries
-        a little above it may still succeed).
-        """
-        with self._lock:
-            if self._sieved_to > self._limit_value:
-                return len(self._primes)
-        lo, hi = 20, self._limit_value
-        if rosser_schoenfeld_upper(lo) > self._limit_value:
-            # Tiny ceiling: the bootstrap sieve covered it exactly.
-            return bisect_right(self._primes, self._limit_value)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if rosser_schoenfeld_upper(mid) <= self._limit_value:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
     # -- the sieved prefix -------------------------------------------------
 
     def _extend_to_value(self, target):
@@ -468,32 +450,26 @@ class PrimeOracle:
                 self._remember(("pi", x), count)
             return count
 
-    def is_prime(self, n: int) -> bool:
-        """Primality by table lookup when covered, certified test otherwise."""
-        if n < 2:
-            return False
-        with self._lock:
-            if n < self._sieved_to:
-                i = bisect_left(self._primes, n)
-                return i < len(self._primes) and self._primes[i] == n
-        return is_prime_certified(n)
-
     def primes_up_to_index(self, m: int):
-        """A copy of the first m primes (array('Q')).
+        """The first m primes in ascending order, as a generator.
 
-        Grows the table as far as the prefix allows; primes past the prefix
-        are sieved into the copy only.
+        Grows the table as far as the prefix allows and yields from it;
+        primes past the prefix are sieved window by window and never kept,
+        so memory stays bounded however large m is.
         """
         last = self.nth_prime(m)
-        with self._lock:
-            if m > len(self._primes):
+        if m > len(self._primes):
+            with self._lock:
                 self._extend_to_value(self._prefix_end)
-            out = self._primes[:m]
-            lo = self._sieved_to
-            while len(out) < m:
-                out.extend(self._window(lo, min(lo + _SEGMENT_SPAN, last + 1)))
-                lo += _SEGMENT_SPAN
-            return out
+        yield from islice(self._primes, m)
+        count = len(self._primes)
+        lo = self._sieved_to
+        while count < m:
+            with self._lock:
+                found = self._window(lo, min(lo + _SEGMENT_SPAN, last + 1))
+            yield from islice(found, m - count)
+            count += len(found)
+            lo += _SEGMENT_SPAN
 
     def factorize(self, n: int):
         """Prime decomposition of n as [(prime, exponent), ...], ascending.
@@ -588,7 +564,8 @@ _default_lock = threading.Lock()
 
 
 def default_oracle() -> PrimeOracle:
-    """The process-wide shared oracle (created on first use)."""
+    """The process-wide shared oracle (created on first use), which every
+    layer above this module reads."""
     global _default_oracle
     if _default_oracle is None:
         with _default_lock:
@@ -598,7 +575,12 @@ def default_oracle() -> PrimeOracle:
 
 
 def set_default_oracle(oracle):
-    """Replace the shared oracle (None resets to lazy re-creation)."""
+    """Replace the shared oracle (None resets to lazy re-creation).
+
+    Its ceiling and decode memo apply to every later call.  Trees keep the
+    Matula numbers and bounds they have already memoized, so a tree built
+    under the old oracle may still report a number the new one would refuse.
+    """
     global _default_oracle
     with _default_lock:
         _default_oracle = oracle

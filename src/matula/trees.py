@@ -66,13 +66,12 @@ class Tree:
 _LEAF = Tree()
 
 
-def _fill(t, oracle, exact):
+def _fill(t, exact):
     """Give t and each node under it that lacks one a value, children
     first, from an explicit stack: the Matula number if ``exact``, else the
     number while every branch prime lies in the sieved prefix, else bounds
     on ln M."""
-    if oracle is None:
-        oracle = default_oracle()
+    oracle = default_oracle()
     get_prime = oracle.nth_prime if exact else oracle._prefix_prime
     stack = [t]
     while stack:
@@ -110,33 +109,33 @@ def _ln_bounds(t):
     return x * (1 - _WIDEN), x * (1 + _WIDEN)
 
 
-def matula_number(t: Tree, oracle=None) -> int:
+def matula_number(t: Tree) -> int:
     """The Matula number of t: the product of p_{M(branch)} over branches.
 
     Memoized on the nodes themselves, so structurally shared subtrees are
     encoded once.  Raises IndexOutOfRange when some subtree's number exceeds
-    the oracle's answerable index range; the exception's ``index`` attribute
-    is that subtree's Matula number.
+    the shared oracle's answerable index range; the exception's ``index``
+    attribute is that subtree's Matula number.
     """
     if t._mnum is None:
-        _fill(t, oracle, exact=True)
+        _fill(t, exact=True)
     return t._mnum
 
 
-def ln_bounds(t: Tree, oracle=None):
+def ln_bounds(t: Tree):
     """Rigorous bounds (lo, hi) on ln M(t), from primes in the sieved prefix
     and bounds on p_m past it; no prime past the prefix is computed."""
-    _fill(t, oracle, exact=False)
+    _fill(t, exact=False)
     return _ln_bounds(t)
 
 
-def compare_matula(a: Tree, b: Tree, oracle=None) -> int:
+def compare_matula(a: Tree, b: Tree) -> int:
     """Total order on trees by Matula number (equal iff isomorphic)."""
     if a is b:
         return 0
     if a._mnum is None or b._mnum is None:
-        _fill(a, oracle, exact=False)
-        _fill(b, oracle, exact=False)
+        _fill(a, exact=False)
+        _fill(b, exact=False)
     if a._mnum is None or b._mnum is None:
         alo, ahi = _ln_bounds(a)
         blo, bhi = _ln_bounds(b)
@@ -146,8 +145,8 @@ def compare_matula(a: Tree, b: Tree, oracle=None) -> int:
             return 1
         if a == b:
             return 0
-        matula_number(a, oracle)
-        matula_number(b, oracle)
+        matula_number(a)
+        matula_number(b)
     return (a._mnum > b._mnum) - (a._mnum < b._mnum)
 
 

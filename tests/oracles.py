@@ -131,13 +131,13 @@ def wedderburn_etherington(n):
 Scan = namedtuple("Scan", "optimum witness examined")
 
 
-def exhaustive_extremum(spec, maximum, oracle=None):
+def exhaustive_extremum(spec, maximum):
     """The largest (``maximum``) or smallest Matula number over an
     enumeration stream, with its tree, by encoding every tree."""
     optimum = witness = None
     examined = 0
     for t in enumerate_trees(spec):
-        m = encode(t, oracle)
+        m = encode(t)
         examined += 1
         if optimum is None or (m > optimum if maximum else m < optimum):
             optimum, witness = m, t

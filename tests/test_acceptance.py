@@ -9,7 +9,6 @@ import time
 from matula import (
     EnumSpec,
     IndexOutOfRange,
-    PrimeOracle,
     TreeClass,
     apply_merge,
     binary_caterpillar,
@@ -37,10 +36,10 @@ def _report(name, ok, elapsed, detail=""):
     print(f"ACCEPTANCE {name}: {status} ({elapsed:.3f}s){suffix}", flush=True)
 
 
-def test_c01_worked_example(oracle):
+def test_c01_worked_example():
     tree = parse("((*),(*,*),*)")
     start = time.perf_counter()
-    value = encode(tree, oracle)
+    value = encode(tree)
     elapsed = time.perf_counter() - start
     ok = value == 42 and elapsed < 1e-3
     _report("C1 worked-example", ok, elapsed, f"encode={value}")
@@ -48,29 +47,27 @@ def test_c01_worked_example(oracle):
     assert elapsed < 1e-3
 
 
-def test_c02_star_is_minimum(oracle):
+def test_c02_star_is_minimum():
     start = time.perf_counter()
     ok = True
     for n in range(2, 9):
-        report = exhaustive_extremum(
-            EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n), False, oracle
-        )
+        report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n), False)
         ok = ok and report.optimum == 2**n and report.witness == star(n)
     for n in range(2, 201):
-        ok = ok and encode(star(n), oracle) == 2**n
+        ok = ok and encode(star(n)) == 2**n
     elapsed = time.perf_counter() - start
     _report("C2 star-minimum", ok and elapsed < 10, elapsed)
     assert ok
     assert elapsed < 10
 
 
-def test_c03_caterpillar_is_maximum(oracle):
+def test_c03_caterpillar_is_maximum():
     start = time.perf_counter()
-    q = caterpillar_numbers(8, oracle)
+    q = caterpillar_numbers(8)
     ok = True
     for n in range(2, 9):
         spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n)
-        report = exhaustive_extremum(spec, True, oracle)
+        report = exhaustive_extremum(spec, True)
         ok = ok and report.optimum == q[n - 1]
         ok = ok and report.witness == binary_caterpillar(n)
         ok = ok and report.examined == A000669[n - 1]
@@ -80,16 +77,16 @@ def test_c03_caterpillar_is_maximum(oracle):
     assert elapsed < 60
 
 
-def test_c04_q_sequence_dual_path():
+def test_c04_q_sequence_dual_path(ceiling):
     start = time.perf_counter()
     expected_prefix = [1, 4, 14, 86, 886, 13766]
 
-    # Path one: the oracle's segmented sieve.
-    primary = PrimeOracle()
+    # Path one: a fresh oracle's segmented sieve.
+    ceiling()
     reached = []
     for k in range(1, 10):
         try:
-            reached = caterpillar_numbers(k, primary)
+            reached = caterpillar_numbers(k)
         except IndexOutOfRange:
             break
     k_reached = len(reached)
@@ -115,9 +112,9 @@ def test_c04_q_sequence_dual_path():
     assert elapsed < 300
 
 
-def test_c05_product_inequality(oracle):
+def test_c05_product_inequality():
     start = time.perf_counter()
-    records = {(r.k1, r.k2): r for r in check_caterpillar_inequality(9, oracle)}
+    records = {(r.k1, r.k2): r for r in check_caterpillar_inequality(9)}
     table = {
         (1, 3): 86,
         (2, 2): 49,
@@ -136,9 +133,9 @@ def test_c05_product_inequality(oracle):
     assert elapsed < 300
 
 
-def test_c06_l_sequence(oracle):
+def test_c06_l_sequence():
     start = time.perf_counter()
-    values = min_binary_numbers(18, oracle)
+    values = min_binary_numbers(18)
     expected = [1, 4, 14, 49, 301, 1589, 9761, 51529, 452411, 3041573, 23140153]
     ok = values[:11] == expected and values[17] == 32078140605053
     elapsed = time.perf_counter() - start
@@ -148,14 +145,14 @@ def test_c06_l_sequence(oracle):
     assert elapsed < 60
 
 
-def test_c07_min_binary_certified(oracle):
+def test_c07_min_binary_certified():
     start = time.perf_counter()
-    values = min_binary_numbers(12, oracle)
+    values = min_binary_numbers(12)
     ok = True
     for k in range(1, 13):
-        witness = extremal_tree(TreeClass.BINARY, k, False, oracle)
+        witness = extremal_tree(TreeClass.BINARY, k, False)
         ok = ok and witness == min_binary_tree(k)
-        ok = ok and encode(witness, oracle) == values[k - 1]
+        ok = ok and encode(witness) == values[k - 1]
     elapsed = time.perf_counter() - start
     _report("C7 min-binary-certified", ok and elapsed < 600, elapsed)
     assert ok
@@ -164,7 +161,7 @@ def test_c07_min_binary_certified(oracle):
 
 def test_c08_prime_bounds(oracle):
     start = time.perf_counter()
-    table = oracle.primes_up_to_index(10**6)
+    table = list(oracle.primes_up_to_index(10**6))
     ok = True
     for m in range(2, 10**6 + 1):
         p = table[m - 1]
@@ -188,13 +185,13 @@ def test_c08_prime_bounds(oracle):
     assert elapsed < 30
 
 
-def test_c09_gi_maximum_unique(oracle):
+def test_c09_gi_maximum_unique():
     start = time.perf_counter()
     ok = True
     for n in range(5, 11):
         spec = EnumSpec(TreeClass.ROOTED, "vertices", n)
-        values = sorted(encode(t, oracle) for t in enumerate_trees(spec))
-        report = exhaustive_extremum(spec, True, oracle)
+        values = sorted(encode(t) for t in enumerate_trees(spec))
+        report = exhaustive_extremum(spec, True)
         ok = ok and report.witness == gi_max_tree(n)
         ok = ok and report.optimum == values[-1]
         ok = ok and values[-1] > values[-2]  # strictly unique maximum
@@ -204,21 +201,21 @@ def test_c09_gi_maximum_unique(oracle):
     assert elapsed < 60
 
 
-def test_c10_bijection_suite(oracle):
+def test_c10_bijection_suite():
     start = time.perf_counter()
     ok = True
     for cls in (TreeClass.TOPOLOGICAL, TreeClass.BINARY):
         for n in range(1, 9):
             numbers = []
             for t in enumerate_trees(EnumSpec(cls, "leaves", n)):
-                m = encode(t, oracle)
+                m = encode(t)
                 numbers.append(m)
-                if decode(m, oracle) != t:
+                if decode(m) != t:
                     ok = False
             if len(numbers) != len(set(numbers)):
                 ok = False
     for n in range(1, 10**5 + 1):
-        if encode(decode(n, oracle), oracle) != n:
+        if encode(decode(n)) != n:
             ok = False
             break
     elapsed = time.perf_counter() - start
@@ -227,7 +224,7 @@ def test_c10_bijection_suite(oracle):
     assert elapsed < 120
 
 
-def test_c11_merge_transformation(oracle):
+def test_c11_merge_transformation():
     start = time.perf_counter()
     ok = True
     checked = 0
@@ -237,8 +234,8 @@ def test_c11_merge_transformation(oracle):
                 continue
             merged = apply_merge(t)
             checked += 1
-            before = encode(t, oracle)
-            after = encode(merged, oracle)
+            before = encode(t)
+            after = encode(merged)
             leaves = lambda x: 1 if not x.children else sum(map(leaves, x.children))
             if after <= before or leaves(merged) != leaves(t):
                 ok = False

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import cli, extremal
+from matula import cli, extremal, primes
 
 
 def run_cli(capsys, *argv):
@@ -254,19 +254,41 @@ def test_verify_gi_max(capsys):
     assert "maximum=67" in out
 
 
+def test_verify_gi_max_computes_no_prime_past_the_prefix(capsys, monkeypatch):
+    # The witness's root branch has a number past the 2^32 ceiling, so its
+    # exact number is doomed; only its bounds on ln M are printed.
+    spy = mock.Mock(side_effect=AssertionError("a prime past the prefix"))
+    monkeypatch.setattr(primes.PrimeOracle, "_nth_past_prefix", spy)
+    code, out, _ = run_cli(capsys, "verify", "gi-max", "--vertices", "100")
+    assert code == 0 and out.endswith(" ok\n")
+    assert out.startswith("vertices=100 ln_maximum=[")
+    spy.assert_not_called()
+
+
 def test_verify_prime_bounds(capsys):
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "2000")
     assert code == 0
     assert "failures=0" in out
 
 
+def test_verify_prime_bounds_checks_dusart(capsys, monkeypatch):
+    # Dusart's bound holds from m = 39017; a larger constant breaks it there.
+    code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "40000")
+    assert (code, out.count("VIOLATES")) == (0, 0)
+    monkeypatch.setattr(primes, "_DUSART", 1.2)
+    code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "40000")
+    assert code == 4
+    assert out.splitlines()[0].endswith(" VIOLATES dusart bound")
+    assert "failures=0" not in out and out.endswith(" FAILED\n")
+
+
 def test_verify_failure_trips_exit_4(capsys, monkeypatch):
     real = extremal.extremal_tree
 
-    def corrupted(tree_class, n, maximum, oracle=None):
+    def corrupted(tree_class, n, maximum):
         # The opposite extremum: a real tree of the class and size, but not
         # the claimed one.
-        return real(tree_class, n, not maximum, oracle)
+        return real(tree_class, n, not maximum)
 
     monkeypatch.setattr(extremal, "extremal_tree", corrupted)
     code, out, _ = run_cli(capsys, "verify", "max-topological", "--leaves", "4")
@@ -319,6 +341,32 @@ def test_nth_prime_past_the_prefix_in_bounded_memory():
     assert code == 0, proc.stderr
     assert proc.stdout == "2038074743\n"
     assert max_rss_kib / 1024 <= 150
+
+
+def _peak_rss_mib(code):
+    """Peak RSS of a fresh interpreter running ``code``, default ceiling."""
+    env = dict(os.environ)
+    env.pop("MATULA_PRIME_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    status, max_rss_kib = map(int, proc.stderr.split()[-2:])
+    assert status == 0, proc.stderr
+    return max_rss_kib / 1024
+
+
+def test_prime_stream_past_the_prefix_in_bounded_memory():
+    # verify prime-bounds walks this stream; ten times the primes, nine
+    # tenths of them past the prefix, may not cost ten times the memory.
+    code = (
+        "import collections, matula; collections.deque("
+        "matula.default_oracle().primes_up_to_index({}), maxlen=0)"
+    )
+    assert _peak_rss_mib(code.format(10**7)) - _peak_rss_mib(code.format(10**6)) <= 10
 
 
 def test_json_mode_streams_objects(capsys):

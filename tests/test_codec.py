@@ -6,7 +6,6 @@ from matula import (
     EnumSpec,
     IndexOutOfRange,
     MatulaError,
-    PrimeOracle,
     Tree,
     TreeClass,
     decode,
@@ -40,19 +39,19 @@ def test_decode_golden():
     assert decode(2) == join(leaf())
 
 
-def test_round_trip_numbers(oracle):
+def test_round_trip_numbers():
     for n in range(1, 5000):
-        assert encode(decode(n, oracle), oracle) == n
+        assert encode(decode(n)) == n
 
 
-def test_round_trip_trees(oracle):
+def test_round_trip_trees():
     for spec in (
         EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6),
         EnumSpec(TreeClass.BINARY, "leaves", 7),
         EnumSpec(TreeClass.ROOTED, "vertices", 7),
     ):
         for t in enumerate_trees(spec):
-            assert decode(encode(t, oracle), oracle) == t
+            assert decode(encode(t)) == t
 
 
 @settings(max_examples=80, deadline=None)
@@ -61,26 +60,26 @@ def test_round_trip_random_trees(t):
     assert decode(encode(t)) == t
 
 
-def test_parity_marks_leaf_child(oracle):
+def test_parity_marks_leaf_child():
     # Even Matula number iff the root has a leaf child (factor 2).
     for n in range(2, 2000):
-        t = decode(n, oracle)
+        t = decode(n)
         has_leaf_child = any(c == leaf() for c in t.children)
         assert (n % 2 == 0) == has_leaf_child
 
 
-def test_encode_exceeds_branch_product(oracle):
-    for t in (star(4), join(star(2), star(3)), decode(1234, oracle)):
+def test_encode_exceeds_branch_product():
+    for t in (star(4), join(star(2), star(3)), decode(1234)):
         product = 1
         for c in t.children:
-            product *= encode(c, oracle)
-        assert encode(t, oracle) > product
+            product *= encode(c)
+        assert encode(t) > product
 
 
-def test_encode_memoizes_shared_subtrees(oracle):
+def test_encode_memoizes_shared_subtrees():
     t = join(star(5), star(5), star(5))
-    first = encode(t, oracle)
-    assert encode(t, oracle) == first
+    first = encode(t)
+    assert encode(t) == first
     assert t.children[0]._mnum == 32
 
 
@@ -91,10 +90,10 @@ def test_decode_rejects_nonpositive():
         decode(-3)
 
 
-def test_encode_range_error_names_subtree():
-    small = PrimeOracle(limit_value=100)
+def test_encode_range_error_names_subtree(ceiling):
+    small = ceiling(100)
     deep = star(200)  # needs p_1 only: fine even under a tiny ceiling
-    assert encode(deep, small) == 2**200
+    assert encode(deep) == 2**200
     # Iterated-prime tower: encode climbs 1->2->3->5->11->31 and then needs
     # p_31 = 127, which breaches the ceiling; the error names index 31, the
     # Matula number of the smallest infeasible subtree.
@@ -102,12 +101,12 @@ def test_encode_range_error_names_subtree():
     for _ in range(6):
         tower = join(tower)
     with pytest.raises(IndexOutOfRange) as err:
-        encode(tower, small)
+        encode(tower)
     assert err.value.index == 31
-    assert err.value.index > small.limit_index
+    assert err.value.index > small.prime_count(small.limit_value)
 
 
-def test_encode_of_a_deep_path_is_a_range_error(oracle):
+def test_encode_of_a_deep_path_is_a_range_error():
     # The vertex paths have numbers 1, 2, 3, 5, 11, 31, ...; the 14-vertex
     # path's number 3657500101 is the first whose prime lies past 2^32, so
     # the 15-vertex path is the smallest infeasible subtree.  3000 levels
@@ -116,12 +115,12 @@ def test_encode_of_a_deep_path_is_a_range_error(oracle):
     for _ in range(3000):
         path = join(path)
     with pytest.raises(IndexOutOfRange) as err:
-        encode(path, oracle)
+        encode(path)
     assert err.value.index == 3657500101
 
 
-def test_encode_reports_the_leftmost_infeasible_branch():
-    small = PrimeOracle(limit_value=100)
+def test_encode_reports_the_leftmost_infeasible_branch(ceiling):
+    ceiling(100)
     path7 = leaf()
     for _ in range(6):
         path7 = join(path7)
@@ -129,13 +128,13 @@ def test_encode_reports_the_leftmost_infeasible_branch():
     # under the ceiling; Tree() keeps both without a cached number.
     t = Tree((path7, join(star(5))))
     with pytest.raises(IndexOutOfRange) as err:
-        encode(t, small)
+        encode(t)
     assert err.value.index == 31
 
 
-def test_decode_range_error_carries_path():
-    small = PrimeOracle(limit_value=100)
+def test_decode_range_error_carries_path(ceiling):
+    ceiling(100)
     # 101 is prime and exceeds the ceiling, so its index is unanswerable.
     with pytest.raises(MatulaError) as err:
-        decode(2 * 101**2, small)
+        decode(2 * 101**2)
     assert getattr(err.value, "path", None) == [2 * 101**2]

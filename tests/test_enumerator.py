@@ -5,7 +5,6 @@ import pytest
 from matula import (
     DomainError,
     EnumSpec,
-    PrimeOracle,
     SizeTooLarge,
     Tree,
     TreeClass,
@@ -15,9 +14,7 @@ from matula import (
     enumerate_trees,
     leaf,
     serialize,
-    set_default_oracle,
 )
-from matula import primes
 from matula.enumerator import _ascending_partitions
 
 from oracles import A000081, A000669, wedderburn_etherington
@@ -125,26 +122,22 @@ def _vertex_count(t):
     return 1 + sum(_vertex_count(c) for c in t.children)
 
 
-def test_matula_numbers_pairwise_distinct(oracle):
+def test_matula_numbers_pairwise_distinct():
     for spec in (
         _spec(TreeClass.TOPOLOGICAL, 7),
         _spec(TreeClass.BINARY, 8),
         _spec(TreeClass.ROOTED, 8),
     ):
-        numbers = [encode(t, oracle) for t in enumerate_trees(spec)]
+        numbers = [encode(t) for t in enumerate_trees(spec)]
         assert len(numbers) == len(set(numbers))
 
 
 @pytest.mark.parametrize("leaves,expected", [(14, 2179), (16, 10905)])
-def test_binary_past_the_prefix_needs_no_prime_past_the_ceiling(leaves, expected):
+def test_binary_past_the_prefix_needs_no_prime_past_the_ceiling(ceiling, leaves, expected):
     # Canonical order decides these by bounds on ln M; exact numbers would
     # need p_11893763, past the 2 * 10^8 ceiling.
-    previous = primes._default_oracle
-    set_default_oracle(PrimeOracle(limit_value=2 * 10**8))
-    try:
-        texts = [serialize(t) for t in enumerate_trees(_spec(TreeClass.BINARY, leaves))]
-    finally:
-        set_default_oracle(previous)
+    ceiling(2 * 10**8)
+    texts = [serialize(t) for t in enumerate_trees(_spec(TreeClass.BINARY, leaves))]
     assert len(texts) == len(set(texts)) == expected == wedderburn_etherington(leaves)
 
 

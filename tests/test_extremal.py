@@ -5,7 +5,6 @@ from matula import (
     DomainError,
     EnumSpec,
     IndexOutOfRange,
-    PrimeOracle,
     TreeClass,
     binary_caterpillar,
     caterpillar_numbers,
@@ -27,35 +26,35 @@ from oracles import exhaustive_extremum
 L_VALUES = [1, 4, 14, 49, 301, 1589, 9761, 51529, 452411, 3041573, 23140153]
 
 
-def test_caterpillar_numbers_golden(oracle):
-    assert caterpillar_numbers(6, oracle) == [1, 4, 14, 86, 886, 13766]
-    assert caterpillar_numbers(1, oracle) == [1]
+def test_caterpillar_numbers_golden():
+    assert caterpillar_numbers(6) == [1, 4, 14, 86, 886, 13766]
+    assert caterpillar_numbers(1) == [1]
 
 
-def test_caterpillar_numbers_match_their_trees(oracle):
-    q = caterpillar_numbers(7, oracle)
+def test_caterpillar_numbers_match_their_trees():
+    q = caterpillar_numbers(7)
     for k, value in enumerate(q, start=1):
-        assert encode(binary_caterpillar(k), oracle) == value
+        assert encode(binary_caterpillar(k)) == value
 
 
-def test_caterpillar_numbers_out_of_range_reports_k():
-    small = PrimeOracle(limit_value=10_000)
+def test_caterpillar_numbers_out_of_range_reports_k(ceiling):
+    ceiling(10_000)
     # q_5 = 886 needs p_443 = 3083 < 10^4, but q_6 needs p_886 = 6883 and
     # q_7 needs p_6883 > 10^4.
-    assert caterpillar_numbers(6, small)[-1] == 13766
+    assert caterpillar_numbers(6)[-1] == 13766
     with pytest.raises(IndexOutOfRange) as err:
-        caterpillar_numbers(7, small)
+        caterpillar_numbers(7)
     assert err.value.k == 7
 
 
-def test_min_binary_numbers_golden(oracle):
-    assert min_binary_numbers(11, oracle) == L_VALUES
-    assert min_binary_numbers(18, oracle)[-1] == 32078140605053
+def test_min_binary_numbers_golden():
+    assert min_binary_numbers(11) == L_VALUES
+    assert min_binary_numbers(18)[-1] == 32078140605053
 
 
-def test_min_binary_numbers_balanced_case(oracle):
+def test_min_binary_numbers_balanced_case():
     # Fourth value is the squared case of the recursion: p_{l_2}^2 = 7^2.
-    assert min_binary_numbers(4, oracle)[-1] == 49
+    assert min_binary_numbers(4)[-1] == 49
 
 
 def test_min_binary_tree_shapes():
@@ -76,30 +75,30 @@ def test_min_binary_tree_builds_afresh_per_call():
     assert min_binary_tree(4096) == join(min_binary_tree(2048), min_binary_tree(2048))
 
 
-def test_min_binary_tree_encodes_to_sequence(oracle):
-    values = min_binary_numbers(18, oracle)
+def test_min_binary_tree_encodes_to_sequence():
+    values = min_binary_numbers(18)
     for k in (1, 2, 3, 6, 11, 13, 18):
-        assert encode(min_binary_tree(k), oracle) == values[k - 1]
+        assert encode(min_binary_tree(k)) == values[k - 1]
 
 
-def test_gi_max_tree_values(oracle):
-    assert encode(gi_max_tree(5), oracle) == 19
-    assert encode(gi_max_tree(6), oracle) == 67
+def test_gi_max_tree_values():
+    assert encode(gi_max_tree(5)) == 19
+    assert encode(gi_max_tree(6)) == 67
     assert params(gi_max_tree(9)).vertices == 9
     with pytest.raises(BadSize):
         gi_max_tree(4)
 
 
-def test_gi_max_tree_is_brute_force_argmax(oracle):
+def test_gi_max_tree_is_brute_force_argmax():
     for n in (5, 6, 7):
-        report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", n), True, oracle)
+        report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", n), True)
         assert report.witness == gi_max_tree(n)
-        assert report.optimum == encode(gi_max_tree(n), oracle)
+        assert report.optimum == encode(gi_max_tree(n))
 
 
-def test_inequality_table_products(oracle):
+def test_inequality_table_products():
     records = {
-        (rec.k1, rec.k2): rec for rec in check_caterpillar_inequality(6, oracle)
+        (rec.k1, rec.k2): rec for rec in check_caterpillar_inequality(6)
     }
     table = {
         (1, 3): 86,
@@ -120,53 +119,53 @@ def test_inequality_table_products(oracle):
 
 
 def test_inequality_lhs_matches_direct_primes(oracle):
-    q = caterpillar_numbers(6, oracle)
-    for rec in check_caterpillar_inequality(6, oracle):
+    q = caterpillar_numbers(6)
+    for rec in check_caterpillar_inequality(6):
         direct = oracle.nth_prime(q[rec.k1 - 1]) * oracle.nth_prime(q[rec.k2 - 1])
         assert rec.lhs == direct
         assert rec.rhs == q[rec.k1 + rec.k2 - 1]
 
 
-def test_exhaustive_max_topological(oracle):
+def test_exhaustive_max_topological():
     spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 4)
-    report = exhaustive_extremum(spec, True, oracle)
+    report = exhaustive_extremum(spec, True)
     assert report.optimum == 86
     assert report.witness == binary_caterpillar(4)
     assert report.examined == 5
     spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6)
-    report = exhaustive_extremum(spec, True, oracle)
+    report = exhaustive_extremum(spec, True)
     assert report.optimum == 13766
     assert report.witness == binary_caterpillar(6)
-    assert extremal_tree(TreeClass.TOPOLOGICAL, 6, True, oracle) == report.witness
+    assert extremal_tree(TreeClass.TOPOLOGICAL, 6, True) == report.witness
 
 
-def test_exhaustive_max_rooted_five(oracle):
-    report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", 5), True, oracle)
+def test_exhaustive_max_rooted_five():
+    report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", 5), True)
     assert report.optimum == 19
     assert report.examined == 9
     assert report.witness == gi_max_tree(5)
-    assert extremal_tree(TreeClass.ROOTED, 5, True, oracle) == report.witness
+    assert extremal_tree(TreeClass.ROOTED, 5, True) == report.witness
 
 
-def test_exhaustive_min_topological(oracle):
-    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6), False, oracle)
+def test_exhaustive_min_topological():
+    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6), False)
     assert report.optimum == 64
     assert report.witness == star(6)
-    assert extremal_tree(TreeClass.TOPOLOGICAL, 6, False, oracle) == star(6)
-    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 2), False, oracle)
+    assert extremal_tree(TreeClass.TOPOLOGICAL, 6, False) == star(6)
+    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 2), False)
     assert report.optimum == 4
     assert report.examined == 1
 
 
-def test_exhaustive_min_rooted_reports_witness(oracle):
+def test_exhaustive_min_rooted_reports_witness():
     # No assertion about the witness shape here, only internal consistency:
     # the true minimum is whatever the stream minimum is.
     spec = EnumSpec(TreeClass.ROOTED, "vertices", 5)
-    report = exhaustive_extremum(spec, False, oracle)
-    assert encode(report.witness, oracle) == report.optimum
-    values = [encode(t, oracle) for t in __import__("matula").enumerate_trees(spec)]
+    report = exhaustive_extremum(spec, False)
+    assert encode(report.witness) == report.optimum
+    values = [encode(t) for t in __import__("matula").enumerate_trees(spec)]
     assert report.optimum == min(values)
-    assert extremal_tree(TreeClass.ROOTED, 5, False, oracle) == report.witness
+    assert extremal_tree(TreeClass.ROOTED, 5, False) == report.witness
 
 
 # (class, the largest size the acceptance suite enumerates) for each class.
@@ -175,11 +174,11 @@ _SCANNED = [(TreeClass.TOPOLOGICAL, 8), (TreeClass.ROOTED, 10), (TreeClass.BINAR
 
 @pytest.mark.parametrize("maximum", [True, False], ids=["max", "min"])
 @pytest.mark.parametrize("tree_class, largest", _SCANNED, ids=["topological", "rooted", "binary"])
-def test_extremal_tree_matches_the_scan(oracle, tree_class, largest, maximum):
+def test_extremal_tree_matches_the_scan(tree_class, largest, maximum):
     kind = "vertices" if tree_class is TreeClass.ROOTED else "leaves"
     for n in range(1, largest + 1):
-        report = exhaustive_extremum(EnumSpec(tree_class, kind, n), maximum, oracle)
-        assert extremal_tree(tree_class, n, maximum, oracle) == report.witness, n
+        report = exhaustive_extremum(EnumSpec(tree_class, kind, n), maximum)
+        assert extremal_tree(tree_class, n, maximum) == report.witness, n
 
 
 @pytest.mark.parametrize(
@@ -199,44 +198,44 @@ def test_extremal_tree_certifies_the_claims_past_the_ceiling(tree_class, n, maxi
     assert extremal_tree(tree_class, n, maximum) == claim(n)
 
 
-def test_bnb_small(oracle):
-    witness = extremal_tree(TreeClass.BINARY, 2, False, oracle)
-    assert encode(witness, oracle) == 4
+def test_bnb_small():
+    witness = extremal_tree(TreeClass.BINARY, 2, False)
+    assert encode(witness) == 4
     assert witness == join(leaf(), leaf())
-    assert extremal_tree(TreeClass.BINARY, 1, False, oracle) == leaf()
+    assert extremal_tree(TreeClass.BINARY, 1, False) == leaf()
 
 
-def test_bnb_matches_sequence(oracle):
-    values = min_binary_numbers(12, oracle)
+def test_bnb_matches_sequence():
+    values = min_binary_numbers(12)
     for k in range(1, 13):
-        witness = extremal_tree(TreeClass.BINARY, k, False, oracle)
-        assert encode(witness, oracle) == values[k - 1]
+        witness = extremal_tree(TreeClass.BINARY, k, False)
+        assert encode(witness) == values[k - 1]
         assert witness == min_binary_tree(k)
 
 
-def test_bnb_agrees_with_brute_force(oracle):
+def test_bnb_agrees_with_brute_force():
     for k in range(2, 9):
-        brute = exhaustive_extremum(EnumSpec(TreeClass.BINARY, "leaves", k), False, oracle)
-        witness = extremal_tree(TreeClass.BINARY, k, False, oracle)
-        assert encode(witness, oracle) == brute.optimum
+        brute = exhaustive_extremum(EnumSpec(TreeClass.BINARY, "leaves", k), False)
+        witness = extremal_tree(TreeClass.BINARY, k, False)
+        assert encode(witness) == brute.optimum
         assert witness == brute.witness
 
 
-def test_bnb_eleven(oracle):
-    witness = extremal_tree(TreeClass.BINARY, 11, False, oracle)
-    assert encode(witness, oracle) == 23140153
+def test_bnb_eleven():
+    witness = extremal_tree(TreeClass.BINARY, 11, False)
+    assert encode(witness) == 23140153
     assert witness == min_binary_tree(11)
 
 
-def test_bnb_degrades_without_failing():
+def test_bnb_degrades_without_failing(ceiling):
     # Under a ceiling of 100 the certificate either returns the claimed tree
     # or raises IndexOutOfRange naming an index; it never returns another
     # tree.
-    small = PrimeOracle(limit_value=100)
+    ceiling(100)
     outcomes = []
     for k in range(1, 13):
         try:
-            witness = extremal_tree(TreeClass.BINARY, k, False, small)
+            witness = extremal_tree(TreeClass.BINARY, k, False)
         except IndexOutOfRange as exc:
             assert exc.index is not None
             outcomes.append("range")
@@ -246,12 +245,12 @@ def test_bnb_degrades_without_failing():
     assert outcomes[0] == "claim" and "range" in outcomes
 
 
-def test_domain_errors(oracle):
+def test_domain_errors():
     with pytest.raises(DomainError):
-        caterpillar_numbers(0, oracle)
+        caterpillar_numbers(0)
     with pytest.raises(DomainError):
-        min_binary_numbers(0, oracle)
+        min_binary_numbers(0)
     with pytest.raises(DomainError):
-        extremal_tree(TreeClass.BINARY, 0, False, oracle)
+        extremal_tree(TreeClass.BINARY, 0, False)
     with pytest.raises(DomainError):
-        check_caterpillar_inequality(1, oracle)
+        check_caterpillar_inequality(1)

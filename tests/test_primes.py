@@ -107,17 +107,6 @@ def test_factorize_error_when_uncertifiable():
     assert err.value.cofactor == composite
 
 
-def test_is_prime(oracle):
-    assert oracle.is_prime(2)
-    assert not oracle.is_prime(1)
-    assert not oracle.is_prime(0)
-    assert oracle.is_prime(6883)
-    assert not oracle.is_prime(6883 * 3)
-    sieve = MonolithicSieve(3000)
-    for n in range(3000):
-        assert oracle.is_prime(n) == bool(sieve.flags[n])
-
-
 def test_is_prime_certified_against_sieve():
     sieve = MonolithicSieve(5000)
     for n in range(5000):
@@ -164,17 +153,6 @@ def test_value_out_of_range():
         small.prime_index(101)
     with pytest.raises(ValueOutOfRange):
         small.prime_count(101)
-
-
-def test_limit_index_is_answerable():
-    small = PrimeOracle(limit_value=100)
-    assert small.limit_index == 25
-    mid = PrimeOracle(limit_value=10**7)
-    m = mid.limit_index
-    # Certified answerable, and p_m stays under the ceiling.
-    assert mid.nth_prime(m) <= mid.limit_value
-    # Not wildly conservative either: within 3% of the true count.
-    assert m >= int(0.97 * mid.prime_count(10**7))
 
 
 def test_env_override(monkeypatch):
@@ -274,7 +252,7 @@ def test_index_out_of_range_just_past_pi_of_ceiling(big_sieve):
 def test_prefix_stays_capped():
     oracle = PrimeOracle()
     m = PI_2_24 + 3000
-    table = oracle.primes_up_to_index(m)
+    table = list(oracle.primes_up_to_index(m))
     assert len(table) == m
     assert table[m - 1] == oracle.nth_prime(m)
     assert all(a < b for a, b in zip(table[PI_2_24 - 5 :], table[PI_2_24 - 4 :]))

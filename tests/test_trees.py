@@ -88,10 +88,10 @@ def test_join_permutation_invariance(branches, rng):
     assert join(*shuffled) == reference
 
 
-def test_children_sorted_by_matula_number(oracle):
+def test_children_sorted_by_matula_number():
     for n in (6, 42, 360, 99991, 2**8 * 3**4 * 43):
-        t = decode(n, oracle)
-        numbers = [encode(c, oracle) for c in t.children]
+        t = decode(n)
+        numbers = [encode(c) for c in t.children]
         assert numbers == sorted(numbers)
 
 
@@ -113,20 +113,20 @@ def test_binary_caterpillar_values():
         binary_caterpillar(0)
 
 
-def test_equality_is_isomorphism(oracle):
+def test_equality_is_isomorphism():
     # Equal Matula number iff equal tree.
     seen = {}
     for n in range(1, 500):
-        t = decode(n, oracle)
-        assert encode(t, oracle) == n
+        t = decode(n)
+        assert encode(t) == n
         for m, other in seen.items():
             assert (other == t) == (m == n)
         if n < 30:
             seen[n] = t
 
 
-def test_compare_matula_total_order(oracle):
-    trees = [decode(n, oracle) for n in range(1, 40)]
+def test_compare_matula_total_order():
+    trees = [decode(n) for n in range(1, 40)]
     for i, a in enumerate(trees, start=1):
         for j, b in enumerate(trees, start=1):
             expected = (i > j) - (i < j)
@@ -137,48 +137,48 @@ def _sign(x, y):
     return (x > y) - (x < y)
 
 
-def test_compare_matula_agrees_with_encode_on_uncached_trees(oracle):
+def test_compare_matula_agrees_with_encode_on_uncached_trees():
     # parse builds every node by join, so the roots compared here carry no
     # cached number; each pair is compared on freshly parsed trees.
     numbers = list(range(1, 60)) + [360, 1234, 99991, 2**8 * 3**4 * 43, 10**6 + 3]
-    texts = {n: serialize(decode(n, oracle)) for n in numbers}
+    texts = {n: serialize(decode(n)) for n in numbers}
     for x in numbers:
         for y in numbers:
             a, b = parse(texts[x]), parse(texts[y])
             assert compare_matula(a, b) == _sign(x, y), (x, y)
 
 
-def test_compare_matula_past_the_prefix(oracle):
+def test_compare_matula_past_the_prefix():
     # Branch numbers in [2 * 10^6, 10^7] have primes past the 2^24 prefix,
     # so these nodes are ordered by their bounds on ln M.
     rng = random.Random(4)
-    branches = [decode(k, oracle) for k in rng.sample(range(2 * 10**6, 10**7), 4)]
-    small = decode(1234, oracle)
+    branches = [decode(k) for k in rng.sample(range(2 * 10**6, 10**7), 4)]
+    small = decode(1234)
     trees = [join(b) for b in branches]
     trees += [join(b, leaf()) for b in branches]
     trees += [join(branches[0], branches[1]), join(branches[2], small)]
     trees += [join(branches[3], *[leaf()] * 30)]
-    trees += [star(30), decode(10**6 + 3, oracle)]
+    trees += [star(30), decode(10**6 + 3)]
     got = {(i, j): compare_matula(a, b) for i, a in enumerate(trees) for j, b in enumerate(trees)}
     assert all(t._mnum is None for t in trees[:-2])  # no exact fallback ran
     bounds = [_ln_bounds(t) for t in trees]
-    numbers = [encode(t, oracle) for t in trees]
+    numbers = [encode(t) for t in trees]
     for (i, j), c in got.items():
         assert c == _sign(numbers[i], numbers[j]), (i, j)
     for (lo, hi), n in zip(bounds, numbers):
         assert lo <= log(n) <= hi
 
 
-def test_ln_bounds_contain_ln_m(oracle):
+def test_ln_bounds_contain_ln_m():
     # Against ln M to 40 digits: a bound not widened past the rounding of
     # float logs fails here, since the float log of M is never ln M itself.
-    trees = [decode(n, oracle) for n in (2, 3, 42, 360, 10**6 + 3, 2**8 * 3**4 * 43)]
-    trees += [star(30), join(decode(5 * 10**6, oracle), leaf())]
+    trees = [decode(n) for n in (2, 3, 42, 360, 10**6 + 3, 2**8 * 3**4 * 43)]
+    trees += [star(30), join(decode(5 * 10**6), leaf())]
     with localcontext() as ctx:
         ctx.prec = 40
         for t in trees:
-            lo, hi = ln_bounds(t, oracle)
-            assert Decimal(lo) < Decimal(encode(t, oracle)).ln() < Decimal(hi)
+            lo, hi = ln_bounds(t)
+            assert Decimal(lo) < Decimal(encode(t)).ln() < Decimal(hi)
 
 
 def test_deep_trees_compare_without_recursion():
@@ -248,8 +248,8 @@ def test_classify():
     }
 
 
-def test_params_of_worked_example(oracle):
-    p = params(decode(42, oracle))
+def test_params_of_worked_example():
+    p = params(decode(42))
     assert p.vertices == 7
     assert p.leaves == 4
     assert p.height == 2
@@ -262,10 +262,10 @@ def test_star_wiener_formula():
         assert params(star(n)).wiener == expected
 
 
-def test_params_against_bfs_oracle(oracle):
+def test_params_against_bfs_oracle():
     from matula import EnumSpec, TreeClass, enumerate_trees
 
-    samples = [decode(n, oracle) for n in range(1, 200)]
+    samples = [decode(n) for n in range(1, 200)]
     samples += [star(7), binary_caterpillar(6), join(star(3), star(2))]
     for cls in (TreeClass.TOPOLOGICAL, TreeClass.BINARY):
         for n in range(1, 9):
