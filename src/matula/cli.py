@@ -165,12 +165,11 @@ def _cmd_params(args):
 
 def _cmd_enumerate(args):
     tree_class = TreeClass(args.tree_class)
-    if args.leaves is not None:
-        spec = EnumSpec(tree_class, "leaves", args.leaves)
-        cap = args.max_leaves
-    else:
-        spec = EnumSpec(tree_class, "vertices", args.vertices)
-        cap = args.max_vertices
+    kind, other = ("leaves", "vertices") if args.leaves is not None else ("vertices", "leaves")
+    if getattr(args, f"max_{other}") is not None:
+        raise DomainError(f"--max-{other} does not apply to --{kind}; use --max-{kind}")
+    spec = EnumSpec(tree_class, kind, getattr(args, kind))
+    cap = getattr(args, f"max_{kind}")
     if args.count:
         n = count_trees(spec, cap)
         _emit(args, {"count": n}, str(n))
@@ -263,7 +262,7 @@ def _verify_claim(args):
     # p_m > m, so a root branch whose number exceeds the ceiling dooms the
     # exact number: skip it rather than compute far primes only to be
     # refused.  The margin covers rounding in log().
-    ln_ceiling = log(primes.default_oracle().limit_value) * (1 + 1e-12)
+    ln_ceiling = log(primes.default_oracle().limit_value) * (1 + primes._WIDEN)
     if all(ln_bounds(branch)[0] <= ln_ceiling for branch in found.children):
         with suppress(IndexOutOfRange):
             value = {key: str(matula_number(found))}
@@ -293,13 +292,22 @@ def _verify_prime_bounds(args):
     # The primes stream past in order, so memory stays bounded for any m_max.
     stream = primes.default_oracle().primes_up_to_index(m_max)
     failures = 0
+    robin, rosser, dusart, dusart_lower = (
+        primes._ROBIN, primes._ROSSER, primes._DUSART, primes._DUSART_LOWER
+    )
     for m, p in enumerate(islice(stream, 1, None), start=2):
-        if primes.robin_lower(m) > p:
+        # The expressions of robin_lower, rosser_schoenfeld_upper, Dusart's
+        # 1999 upper bound and primes._dusart_lower, with the logs taken once.
+        ln_m = log(m)
+        ln_ln_m = log(ln_m)
+        if m * (ln_m + ln_ln_m - robin) > p:
             failures += _violation(args, m, p, "lower")
-        if m >= 20 and p > primes.rosser_schoenfeld_upper(m):
+        if m >= 20 and p > m * (ln_m + ln_ln_m - rosser):
             failures += _violation(args, m, p, "upper")
-        if m >= 39017 and p > primes._dusart_upper(m):
+        if m >= 39017 and p > m * (ln_m + ln_ln_m - dusart):
             failures += _violation(args, m, p, "dusart")
+        if m >= 3 and m * (ln_m + ln_ln_m - 1 + (ln_ln_m - dusart_lower) / ln_m) > p:
+            failures += _violation(args, m, p, "dusart-lower")
     lower_of_last = _six_figures(primes.robin_lower(m_max))
     upper_of_last = _six_figures(primes.rosser_schoenfeld_upper(max(m_max, 20)))
     _emit(

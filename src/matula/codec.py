@@ -13,10 +13,12 @@ from .primes import default_oracle
 from .trees import Tree, leaf, matula_number
 
 # decode is shared-subtree heavy (every composite reuses the trees of its
-# factor indices), so results with keys up to this bound are interned in the
-# oracle's ``_decode_cache``; scoping the memo to the oracle keeps its
-# range-error contract history-independent.
+# factor indices), so results with keys up to this bound are interned in
+# ``_decode_cache``.  Only keys up to the current oracle's ceiling are read or
+# written: decode(n) cannot fail there (every prime it needs is at most n), so
+# whether a call raises never depends on earlier calls.
 _DECODE_CACHE_MAX_KEY = 1 << 20
+_decode_cache = {}
 
 
 def encode(t: Tree) -> int:
@@ -32,21 +34,22 @@ def decode(n: int) -> Tree:
     """
     if n < 1:
         raise MatulaError(f"Matula numbers start at 1, got {n}")
-    return _decode(n, default_oracle()._decode_cache)
+    return _decode(n)
 
 
-def _decode(n, cache):
-    cached = cache.get(n)
-    if cached is not None:
-        return cached
+def _decode(n):
+    oracle = default_oracle()
+    cached = n <= min(_DECODE_CACHE_MAX_KEY, oracle.limit_value)
+    result = _decode_cache.get(n) if cached else None
+    if result is not None:
+        return result
     if n == 1:
         result = leaf()
     else:
-        oracle = default_oracle()
         try:
             children = []
             for p, exponent in oracle.factorize(n):
-                child = _decode(oracle.prime_index(p), cache)
+                child = _decode(oracle.prime_index(p))
                 children.extend([child] * exponent)
         except MatulaError as exc:
             exc.path = [n] + list(getattr(exc, "path", []))
@@ -54,6 +57,6 @@ def _decode(n, cache):
         # Factors come out ascending, hence so do the children's Matula
         # numbers: the tuple is already canonical.
         result = Tree(children, _matula=n)
-    if n <= _DECODE_CACHE_MAX_KEY:
-        cache[n] = result
+    if cached:
+        _decode_cache[n] = result
     return result

@@ -13,10 +13,11 @@ Past the prefix no table is kept:
 
 * pi(x) is counted by the Lucy_Hedgehog method in O(x^(3/4)) time and
   O(sqrt x) memory;
-* the m-th prime is found by inverting li(x) to an estimate x0, counting
-  pi(x0), then sieving bounded windows from x0 until the count reaches m;
+* the m-th prime is found by counting pi(x0) at Dusart's proven lower bound
+  x0 on p_m, then sieving bounded windows upwards from x0 until the count
+  reaches m;
 * factorization trial-divides by the primes up to 2^16 only, then certifies
-  the cofactor by Miller-Rabin or splits it by Pollard-Brent rho.
+  the cofactor by Miller-Rabin or splits it by Pollard-Brent rho alone.
 
 So the ceiling bounds run time, not memory.  Answers past the prefix are
 kept in one small bounded memo per oracle, because tree codecs and
@@ -33,7 +34,7 @@ import os
 import threading
 from bisect import bisect_left, bisect_right
 from itertools import groupby, islice
-from math import gcd, isqrt, log, sqrt
+from math import gcd, isqrt, log
 
 from . import _sieve_py
 from .errors import (
@@ -63,26 +64,30 @@ _PREFIX_CAP = 1 << 24
 # Values per lazy extension step (even, so segment bounds stay odd-aligned).
 _SEGMENT_SPAN = 1 << 23
 
-# Values per window when walking from an estimate to an nth prime past the
-# prefix.  The li(x) estimate falls short of p_m by about 1.4 * 10^4 values at
-# x = 10^8 and 5 * 10^4 at x = 2 * 10^9, so one window usually closes the gap.
-# Bulk sieving past the prefix uses _SEGMENT_SPAN, which costs less per value.
+# Values per window when walking up from Dusart's lower bound to an nth prime
+# past the prefix.  The bound falls short of p_m by about 2 * 10^4 values at
+# p_m = 10^8, 1.3 * 10^5 (one window) at 10^9 and 5 * 10^5 (four windows) at
+# 2^32.  Bulk sieving past the prefix uses _SEGMENT_SPAN, which costs less per
+# value.
 _WINDOW_SPAN = 1 << 17
 
 # Entries of the per-oracle memo of answers past the prefix.
 _FAR_MEMO_SIZE = 4096
 
-# Pollard-Brent rho: steps per cofactor over all seeds before falling back to
-# trial division, and steps per gcd.  A prime factor p is found after about
-# sqrt(p) steps, so the budget covers factors far past the default ceiling.
-_RHO_BUDGET = 1 << 20
-_RHO_BATCH = 128
-
 # Strong-pseudoprime witnesses proven sufficient for n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
 
-_EULER_GAMMA = 0.5772156649015329
+# Pollard-Brent rho: steps per cofactor over all seeds before refusing, and
+# steps per gcd.  A composite cofactor below _MR_CERTIFIED_BOUND has a prime
+# factor p below the square root of that bound, and rho finds p after about
+# sqrt(p) steps, at most about 1.35 * 10^6; the budget allows eight times that.
+_RHO_BUDGET = 8 * isqrt(isqrt(_MR_CERTIFIED_BOUND))
+_RHO_BATCH = 128
+
+# Relative margin by which a bound computed in floats is widened before it
+# decides a query or an order, against rounding in log() and the arithmetic.
+_WIDEN = 1e-12
 
 
 # m (ln m + ln ln m - c) bounds p_m from below with c = _ROBIN (m >= 2), and
@@ -90,6 +95,11 @@ _EULER_GAMMA = 0.5772156649015329
 # 1999, Math. Comp. 68).
 _ROBIN, _ROSSER, _DUSART = 1.0072629, 0.5, 0.9484
 _LN_20, _LN_39017 = log(20), log(39017)
+
+# Dusart 2010 ("Estimates of some functions over primes without R.H.",
+# arXiv:1002.0442): p_n >= n (ln n + ln ln n - 1 + (ln ln n - 2.1) / ln n)
+# for n >= 3.  _dusart_lower computes it with 2.1 = _DUSART_LOWER.
+_DUSART_LOWER = 2.1
 
 
 def robin_lower(m):
@@ -110,9 +120,11 @@ def rosser_schoenfeld_upper(m):
     return m * (log(m) + log(log(m)) - _ROSSER)
 
 
-def _dusart_upper(m):
-    """Dusart's upper bound on the m-th prime, valid for m >= 39017."""
-    return m * (log(m) + log(log(m)) - _DUSART)
+def _dusart_lower(m):
+    """Dusart's 2010 lower bound on the m-th prime, valid for m >= 3."""
+    ln_m = log(m)
+    ln_ln_m = log(ln_m)
+    return m * (ln_m + ln_ln_m - 1 + (ln_ln_m - _DUSART_LOWER) / ln_m)
 
 
 def _ln_prime_bounds(lo, hi):
@@ -197,26 +209,6 @@ def _lucy_count(x):
     return large[1]
 
 
-def _li(x):
-    """The logarithmic integral li(x) for x > 1, by Ramanujan's series."""
-    ln_x = log(x)
-    total, term, harmonic = 0.0, -2.0, 0.0
-    for n in range(1, 100):
-        term *= -ln_x / (2 * n)  # (-1)^(n-1) ln(x)^n / (n! 2^(n-1))
-        if n % 2:
-            harmonic += 1.0 / n  # sum of 1/(2k+1) for 2k+1 <= n
-        total += term * harmonic
-    return _EULER_GAMMA + log(ln_x) + sqrt(x) * total
-
-
-def _li_inverse(m):
-    """The x with li(x) = m, for m >= 2, by Newton's method from m ln m."""
-    x = m * log(m)
-    for _ in range(8):
-        x -= (_li(x) - m) * log(x)
-    return x
-
-
 def _pollard_brent(n):
     """A proper factor of the composite n, or None once _RHO_BUDGET steps
     are spent.
@@ -282,8 +274,6 @@ class PrimeOracle:
         self._prefix_end = min(self._limit_value, _PREFIX_CAP) + 1
         self._far = {}  # ("nth", m) -> p_m and ("pi", x) -> pi(x) past the prefix
         self._count_at_ceiling = None
-        # codec.decode's memo of small results; see codec._DECODE_CACHE_MAX_KEY.
-        self._decode_cache = {}
 
     def __repr__(self):
         return (
@@ -341,35 +331,27 @@ class PrimeOracle:
         )
 
     def _nth_past_prefix(self, m):
-        """p_m for a prime past the prefix: pi at the li(x) estimate x0 of
-        p_m, then sieved windows outward from x0 until the count is m."""
+        """p_m for a prime past the prefix: pi at Dusart's lower bound x0 on
+        p_m, then sieved windows upwards from x0 until the count is m."""
         p = self._far.get(("nth", m))
         if p is not None:
             return p
-        if rosser_schoenfeld_upper(m) * (1 + 1e-12) > self._limit_value:
+        if rosser_schoenfeld_upper(m) * (1 + _WIDEN) > self._limit_value:
             if self._count_at_ceiling is None:
                 self._count_at_ceiling = self.prime_count(self._limit_value)
             if m > self._count_at_ceiling:
                 raise self._refusal(m)
-        x = min(max(int(_li_inverse(m)), _PREFIX_CAP), self._limit_value)
-        count = self.prime_count(x)
-        if count < m:  # p_m > x: walk up
-            lo = x + 1
-            while True:
-                found = self._window(lo, lo + _WINDOW_SPAN)
-                if len(found) >= m - count:
-                    break
-                count += len(found)
-                lo += _WINDOW_SPAN
-        else:  # p_m <= x: walk down; count - m primes lie in (p_m, x]
-            hi = x + 1
-            while True:
-                found = self._window(hi - _WINDOW_SPAN, hi)
-                if len(found) > count - m:
-                    break
-                count -= len(found)
-                hi -= _WINDOW_SPAN
-        # Walking up, found[0] is p_(count+1); walking down, found[-1] is p_count.
+        # The refusals passed and p_m lies past the prefix, so x0 < p_m <= the
+        # ceiling: fewer than m primes lie up to x0.
+        x0 = max(int(_dusart_lower(m) * (1 - _WIDEN)), _PREFIX_CAP)
+        count = self.prime_count(x0)
+        lo = x0 + 1
+        while True:
+            found = self._window(lo, lo + _WINDOW_SPAN)
+            if len(found) >= m - count:
+                break
+            count += len(found)
+            lo += _WINDOW_SPAN
         p = found[m - count - 1]
         self._remember(("nth", m), p)
         self._remember(("pi", p), m)
@@ -384,7 +366,7 @@ class PrimeOracle:
         # The table only grows and each read of it is atomic: no lock needed.
         if m <= len(self._primes):
             return self._primes[m - 1]
-        if m >= self._prefix_end or robin_lower(m) * (1 - 1e-12) >= self._prefix_end:
+        if m >= self._prefix_end or robin_lower(m) * (1 - _WIDEN) >= self._prefix_end:
             return None
         with self._lock:
             # Rosser-Schoenfeld's bound covers p_m; sieve at least a segment.
@@ -403,7 +385,7 @@ class PrimeOracle:
             return p
         # Fast refusal when a lower bound (p_m > m, Robin's) already clears
         # the ceiling, or when the prefix covers the ceiling.
-        if m > self._limit_value or robin_lower(m) * (1 - 1e-12) > self._limit_value:
+        if m > self._limit_value or robin_lower(m) * (1 - _WIDEN) > self._limit_value:
             raise self._refusal(m)
         if self._prefix_end > self._limit_value:
             raise self._refusal(m)
@@ -477,9 +459,13 @@ class PrimeOracle:
         Trial division by the primes p <= 2^16 while p^2 <= the remaining
         cofactor; whatever cofactor is left is certified prime by
         Miller-Rabin or split by Pollard-Brent rho, every factor certified in
-        turn.  FactorOutOfRange when two or more prime factors, counted with
-        multiplicity, lie above the ceiling (``cofactor`` is their product),
-        or when a cofactor is too large to certify.
+        turn.  FactorOutOfRange (``value`` is n) when
+
+        * two or more prime factors, counted with multiplicity, lie above
+          the ceiling (``cofactor`` is their product);
+        * a cofactor is too large to certify (3.3 * 10^24 or more);
+        * rho finds no factor of a composite cofactor within its budget
+          (``cofactor`` is that cofactor).
         """
         if n < 1:
             raise DomainError(f"factorize needs n >= 1, got {n}")
@@ -508,10 +494,11 @@ class PrimeOracle:
     def _split(self, n, rem):
         """The prime factors of rem, ascending with multiplicity, where rem
         has no prime factor among the trial divisors; FactorOutOfRange when
-        two or more of them lie past the ceiling."""
+        two or more of them lie past the ceiling, or when rho cannot split a
+        composite cofactor."""
         factors = []
         above = 1  # the product of the prime factors past the ceiling
-        past = 0  # how many prime factors it holds, at least
+        past = 0  # how many prime factors it holds
         stack = [rem]
         while stack:
             c = stack.pop()
@@ -522,11 +509,14 @@ class PrimeOracle:
                     above *= c
                     past += 1
                 continue
-            d = _pollard_brent(c) or self._least_factor(c)
-            if d is None:  # composite, and every prime factor lies past the ceiling
-                above *= c
-                past += 2
-                continue
+            d = _pollard_brent(c)
+            if d is None:
+                raise FactorOutOfRange(
+                    f"Pollard-Brent rho found no factor of the composite cofactor "
+                    f"{c} of {n} within {_RHO_BUDGET} steps",
+                    value=n,
+                    cofactor=c,
+                )
             stack += (d, c // d)
         if past > 1:
             raise FactorOutOfRange(
@@ -538,25 +528,6 @@ class PrimeOracle:
         if past:
             factors.append(above)
         return sorted(factors)
-
-    def _least_factor(self, c):
-        """The least prime factor of c up to min(sqrt c, ceiling), by trial
-        division over the table and then windows past it; None if c has
-        none."""
-        bound = min(isqrt(c), self._limit_value)
-        self._extend_to_value(bound + 1)
-        for p in self._primes:
-            if p > bound:
-                return None
-            if c % p == 0:
-                return p
-        lo = self._sieved_to
-        while lo <= bound:
-            for p in self._window(lo, min(lo + _SEGMENT_SPAN, bound + 1)):
-                if c % p == 0:
-                    return p
-            lo += _SEGMENT_SPAN
-        return None
 
 
 _default_oracle = None
@@ -577,7 +548,7 @@ def default_oracle() -> PrimeOracle:
 def set_default_oracle(oracle):
     """Replace the shared oracle (None resets to lazy re-creation).
 
-    Its ceiling and decode memo apply to every later call.  Trees keep the
+    Its ceiling applies to every later call.  Trees keep the
     Matula numbers and bounds they have already memoized, so a tree built
     under the old oracle may still report a number the new one would refuse.
     """

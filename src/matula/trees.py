@@ -21,10 +21,7 @@ from functools import cmp_to_key
 from math import inf, log, prod
 
 from .errors import DomainError, TooFewBranches
-from .primes import _ln_prime_bounds, default_oracle
-
-# Relative widening of every bound on ln M, against float rounding.
-_WIDEN = 1e-12
+from .primes import _WIDEN, _ln_prime_bounds, default_oracle
 
 
 class Tree:

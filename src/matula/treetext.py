@@ -68,10 +68,10 @@ def parse(text: str) -> Tree:
     return stack[0][0]
 
 
-def to_dot(t: Tree, name: str = "tree") -> str:
+def to_dot(t: Tree) -> str:
     """Graphviz DOT text: one node per vertex, edges parent to child, nodes
     numbered by canonical depth-first order (root is n0)."""
-    lines = [f"digraph {name} {{", '  n0 [label="0"];']
+    lines = ["digraph tree {", '  n0 [label="0"];']
     uid = 0
     # The number and the children still to write of each open node.  A
     # node's edge line is written once its whole subtree is.

@@ -142,6 +142,16 @@ def test_enumerate_cap_override_flag(capsys):
     assert len(out.splitlines()) == 4
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("rooted", "--vertices", "5", "--max-leaves", "1"), "--max-vertices"),
+    (("topological", "--leaves", "13", "--max-vertices", "20"), "--max-leaves"),
+])
+def test_enumerate_cap_flag_must_match_the_size_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "enumerate", "--class", *argv, "--count")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and flag in err
+
+
 def test_prime_bound_flag_validation(capsys):
     code, _, err = run_cli(capsys, "--prime-bound", "1", "primes", "nth", "1")
     assert code == 2
@@ -282,6 +292,15 @@ def test_verify_prime_bounds_checks_dusart(capsys, monkeypatch):
     assert "failures=0" not in out and out.endswith(" FAILED\n")
 
 
+def test_verify_prime_bounds_checks_dusart_lower(capsys, monkeypatch):
+    # A smaller constant lifts Dusart's 2010 lower bound past p_m.
+    monkeypatch.setattr(primes, "_DUSART_LOWER", -10.0)
+    code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "2000")
+    assert code == 4
+    assert out.splitlines()[0].endswith(" VIOLATES dusart-lower bound")
+    assert out.endswith(" FAILED\n")
+
+
 def test_verify_failure_trips_exit_4(capsys, monkeypatch):
     real = extremal.extremal_tree
 
@@ -367,6 +386,27 @@ def test_prime_stream_past_the_prefix_in_bounded_memory():
         "matula.default_oracle().primes_up_to_index({}), maxlen=0)"
     )
     assert _peak_rss_mib(code.format(10**7)) - _peak_rss_mib(code.format(10**6)) <= 10
+
+
+def test_decode_of_a_semiprime_past_the_ceiling_is_a_range_error():
+    # 1811095800043 * 1811096800063: both factors lie past the 2^32 ceiling.
+    # Rho splits it in about a second; trial division toward its square
+    # root took minutes.
+    n = 3280069808065416197802709
+    env = dict(os.environ)
+    env.pop("MATULA_PRIME_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "matula.cli", "decode", str(n)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error: cofactor {n} of {n} has no prime factor below the ceiling "
+        "4294967296 and is not certifiably prime\n"
+    )
 
 
 def test_json_mode_streams_objects(capsys):
@@ -473,8 +513,11 @@ _FAST_ARGV = st.one_of(
         st.sampled_from(["rooted", "topological", "binary", "other"]),
         st.sampled_from(["--leaves", "--vertices"]),
         st.integers(-2, 30).map(str),
+        # No cap, or either cap flag, matching the size flag or not.
+        st.sampled_from([(), *((flag, cap) for flag in ("--max-leaves", "--max-vertices")
+                                for cap in ("1", "30"))]),
         st.just("--count"),
-    ),
+    ).map(lambda argv: (*argv[:5], *argv[5], argv[6])),
 ).map(list)
 
 

@@ -138,3 +138,12 @@ def test_decode_range_error_carries_path(ceiling):
     with pytest.raises(MatulaError) as err:
         decode(2 * 101**2)
     assert getattr(err.value, "path", None) == [2 * 101**2]
+
+
+def test_decode_memo_keeps_range_errors_history_independent(ceiling):
+    assert encode(decode(202)) == 202
+    ceiling(100)
+    # 202 = 2 * 101 and 101 is past the ceiling: the memoized tree from the
+    # default ceiling may not answer.
+    with pytest.raises(MatulaError):
+        decode(202)

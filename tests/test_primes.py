@@ -1,5 +1,6 @@
 import math
 import random
+import subprocess
 import sys
 import threading
 from math import isqrt
@@ -359,15 +360,43 @@ def test_factorize_recomposes_at_scale(oracle):
             assert product == n
 
 
-def test_factorize_falls_back_to_trial_division_when_rho_gives_up(monkeypatch):
+def test_factorize_refuses_when_rho_gives_up(monkeypatch):
     monkeypatch.setattr(primes, "_RHO_BUDGET", 0)
     oracle = PrimeOracle()
-    assert oracle.factorize(65537 * 65539) == [(65537, 1), (65539, 1)]
-    # Past the prefix: the least factor comes from a sieved window.
-    assert oracle.factorize(16_777_259 * 16_777_289) == [(16_777_259, 1), (16_777_289, 1)]
-    with pytest.raises(FactorOutOfRange) as err:
-        PrimeOracle(limit_value=10**5).factorize(100_003 * 100_019)
-    assert err.value.cofactor == 100_003 * 100_019
+    for n, cofactor in ((65537 * 65539, 65537 * 65539),
+                        (6 * 16_777_259 * 16_777_289, 16_777_259 * 16_777_289)):
+        with pytest.raises(FactorOutOfRange) as err:
+            oracle.factorize(n)
+        assert (err.value.cofactor, err.value.value) == (cofactor, n)
+
+
+# Two 41-bit primes: the product is certifiable (below 3.3 * 10^24), and
+# rho needs more steps to split it than a budget of 2^20 allowed.
+_P41, _Q41 = 1_811_095_800_043, 1_811_096_800_063
+
+
+def test_factorize_splits_two_41_bit_primes():
+    # In a child with a timeout: a factorization that falls back to trial
+    # division would walk toward 1.8 * 10^12 instead of failing.
+    code = (
+        "from matula import PrimeOracle; "
+        f"print(PrimeOracle(limit_value=2**52).factorize({_P41} * {_Q41}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"[({_P41}, 1), ({_Q41}, 1)]\n"
+
+
+def test_dusart_lower_bound_lies_below_p_m():
+    table = list(PrimeOracle().primes_up_to_index(PI_2_24))
+    for m in range(3, PI_2_24 + 1):
+        assert primes._dusart_lower(m) < table[m - 1], m
+    # Published: p_50847534 = 999999937, the last prime below 10^9, and
+    # p_203280221 = 4294967291, the last below 2^32.
+    assert primes._dusart_lower(50_847_534) < 999_999_937
+    assert primes._dusart_lower(203_280_221) < 4_294_967_291
 
 
 def test_shared_oracle_under_threads(monkeypatch):
