@@ -11,8 +11,9 @@ sieved in segments by the pure-Python kernel in ``_sieve_py``.  The table is
 a cache of that prefix and never grows past it (about 1.08 M primes, 8.6 MB).
 Past the prefix no table is kept:
 
-* pi(x) is counted by the Lucy_Hedgehog method in O(x^(3/4)) time and
-  O(sqrt x) memory;
+* pi(x) is counted by Meissel's formula, which reads pi only up to x^(2/3)
+  and so, under every ceiling up to 2^36, only from the prefix; the prefix
+  is sieved that far on demand;
 * the m-th prime is found by counting pi(x0) at Dusart's proven lower bound
   x0 on p_m, then sieving bounded windows upwards from x0 until the count
   reaches m;
@@ -33,7 +34,8 @@ whose branch primes lie past the prefix (``_ln_prime_bounds``).
 import os
 import threading
 from bisect import bisect_left, bisect_right
-from itertools import groupby, islice
+from functools import cache
+from itertools import accumulate, groupby, islice
 from math import gcd, isqrt, log
 
 from . import _sieve_py
@@ -78,12 +80,21 @@ _FAR_MEMO_SIZE = 4096
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
 
+# Past the certified bound a failed witness still proves n composite, so rho
+# may split it.  The witnesses run only below this square, where they cost
+# about as little as below the bound: on a 5000-digit n one round takes 10 s.
+_MR_TESTED_BOUND = _MR_CERTIFIED_BOUND**2
+
 # Pollard-Brent rho: steps per cofactor over all seeds before refusing, and
 # steps per gcd.  A composite cofactor below _MR_CERTIFIED_BOUND has a prime
 # factor p below the square root of that bound, and rho finds p after about
 # sqrt(p) steps, at most about 1.35 * 10^6; the budget allows eight times that.
 _RHO_BUDGET = 8 * isqrt(isqrt(_MR_CERTIFIED_BOUND))
 _RHO_BATCH = 128
+
+# phi(y, 6) = (y // _WHEEL) * _WHEEL_TOTIENT + W[y % _WHEEL]: 30030 is the
+# product of the first six primes and 5760 its totient.
+_WHEEL, _WHEEL_TOTIENT = 30030, 5760
 
 # Relative margin by which a bound computed in floats is widened before it
 # decides a query or an order, against rounding in log() and the arithmetic.
@@ -139,8 +150,10 @@ def _ln_prime_bounds(lo, hi):
 def is_prime_certified(n: int) -> bool:
     """Deterministic primality check (strong pseudoprime test, fixed witnesses).
 
-    Valid for n below 3.3 * 10^24; beyond that raises FactorOutOfRange since
-    this package never reports uncertified primality.
+    Certified for n below 3.3 * 10^24.  Below the square of that bound a
+    failed witness still proves n composite (False).  Any other n raises
+    FactorOutOfRange, since this package never reports uncertified
+    primality.
     """
     if n < 2:
         return False
@@ -149,11 +162,8 @@ def is_prime_certified(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n >= _MR_CERTIFIED_BOUND:
-        raise FactorOutOfRange(
-            f"cannot certify primality of {n} (beyond deterministic witness range)",
-            value=n,
-        )
+    if n >= _MR_TESTED_BOUND:
+        raise _uncertifiable(n)
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -168,45 +178,92 @@ def is_prime_certified(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
+            return False  # a witness proves n composite at any size
+    if n >= _MR_CERTIFIED_BOUND:
+        raise _uncertifiable(n)
     return True
 
 
-def _lucy_count(x):
-    """pi(x) by the Lucy_Hedgehog method: O(x^(3/4)) time, O(sqrt x) memory.
+def _uncertifiable(n):
+    return FactorOutOfRange(
+        f"cannot certify primality of {n} (beyond deterministic witness range)",
+        value=n,
+    )
 
-    ``small[v]`` and ``large[i]`` hold S(v) and S(x // i) for v, i <= sqrt x,
-    where S(v) counts the integers in [2, v] that survive sieving by the
-    primes below p.  Sieving by p lowers S(v) by S(v // p) - S(p - 1) for
-    every v >= p^2; values are updated in decreasing order of v, so every
-    S(v // p) read is still from the previous round.  Each round is a few
-    list comprehensions, which keeps the per-value work in C.
+
+def _icbrt(n):
+    """The integer cube root of n >= 0."""
+    r = round(n ** (1 / 3))
+    while r * r * r > n:
+        r -= 1
+    while (r + 1) ** 3 <= n:
+        r += 1
+    return r
+
+
+@cache
+def _wheel_counts():
+    """W[r] = how many of 1..r are coprime to _WHEEL, for 0 <= r < _WHEEL;
+    built on first use."""
+    flags = bytearray(b"\x01") * _WHEEL
+    for p in (2, 3, 5, 7, 11, 13):
+        flags[::p] = bytes(len(range(0, _WHEEL, p)))
+    return tuple(accumulate(flags))
+
+
+def _phi(x, a, table, end):
+    """phi(x, a): how many of 1..x have no prime factor among p_1..p_a, for
+    a >= 6, where ``table`` holds the primes below ``end`` (at least up to
+    x^(2/3)).
+
+    Legendre's recurrence, unrolled down to k = 6:
+
+        phi(y, k) = phi(y, 6) - sum_{6 < i <= k} phi(y // p_i, i - 1),
+
+    with phi(y, 6) read from the 30030 wheel.  Each term is settled by a
+    cut-off or expanded on an explicit stack:
+
+    * p_i^2 > y: y // p_i < p_i, so only 1 survives and the term is 1;
+    * y < p_i^3 and y // p_i < end: the term counts 1 and the primes in
+      (p_{i-1}, y // p_i], that is pi(y // p_i) - i + 2, read from the table;
+    * otherwise the node (y // p_i, i - 1) is expanded in turn, and for
+      i = 7 and 8 read from the wheel at once.
+
+    y // p_i >= end with p_i > y^(1/3) needs y > end^(3/2), so only such
+    nodes test it.
     """
-    r = isqrt(x)
-    small = list(range(-1, r))
-    small[0] = 0
-    large = [0] + [x // i - 1 for i in range(1, r + 1)]
-    for p in range(2, r + 1):
-        below = small[p - 1]
-        if small[p] == below:
-            continue  # p is composite
-        p2 = p * p
-        top = min(r, x // p2)
-        # For i <= r // p, x // (i p) is a large entry; beyond it, a small one.
-        mid = min(top, r // p)
-        large[1 : mid + 1] = [
-            a - b + below for a, b in zip(large[1 : mid + 1], large[p : mid * p + 1 : p])
-        ]
-        xp = x // p
-        large[mid + 1 : top + 1] = [
-            a - small[xp // i] + below
-            for i, a in zip(range(mid + 1, top + 1), large[mid + 1 : top + 1])
-        ]
-        if p2 <= r:
-            small[p2 : r + 1] = [
-                a - small[v // p] + below for v, a in zip(range(p2, r + 1), small[p2 : r + 1])
-            ]
-    return large[1]
+    wheel = _wheel_counts()
+
+    def phi6(v):
+        q, r = divmod(v, _WHEEL)
+        return q * _WHEEL_TOTIENT + wheel[r]
+
+    cubes = [p * p * p for p in islice(table, a)]  # p_i^3 <= y <= x only for i <= a
+    deep = isqrt(end**3)  # y // end <= y^(1/3) while y <= end^(3/2)
+    total = 0
+    stack = [(x, a, 1)]
+    while stack:
+        y, k, sign = stack.pop()
+        t = phi6(y)
+        # Terms i <= i3 are expanded, i3 < i <= i2 read pi, i > i2 are 1.
+        i2 = bisect_right(table, isqrt(y), 0, k)
+        i3 = bisect_right(cubes, y, 0, min(i2, a))
+        if y > deep:
+            i3 = max(i3, bisect_right(table, y // end, 0, i2))
+        if i3 > 6:
+            t -= phi6(y // 17)  # i = 7: phi(y // 17, 6)
+            if i3 > 7:  # i = 8: phi(y // 19, 7) = phi(y // 19, 6) - phi(y // 323, 6)
+                t += phi6(y // 323) - phi6(y // 19)
+                stack += [(y // p, i, -sign) for i, p in zip(range(8, i3), islice(table, 8, i3))]
+        else:
+            i3 = 6
+        if i2 > i3:
+            t -= sum([bisect_right(table, y // p) for p in islice(table, i3, i2)])
+            t += ((i2 - 3) * i2 - (i3 - 3) * i3) // 2  # sum of i - 2 over i3 < i <= i2
+        else:
+            i2 = i3
+        total += sign * (t - (k - i2))
+    return total
 
 
 def _pollard_brent(n):
@@ -317,6 +374,55 @@ class PrimeOracle:
         # lo > 2, so an even lo is no prime and may be skipped.
         return _sieve_py.sieve_segment(lo | 1, hi, base)
 
+    def _count_past_prefix(self, x):
+        """pi(x) for x past the prefix, by Meissel's formula as Lehmer (1959,
+        Illinois J. Math. 3) made it practical:
+
+            pi(x) = phi(x, a) + a - 1 - sum_{a < i <= b} (pi(x // p_i) - i + 1)
+
+        with a = pi(x^(1/3)) and b = pi(sqrt x).  Every pi read comes from
+        the table while x^(2/3) lies in the prefix, that is up to 2^36; past
+        that, the terms x // p_i past the prefix are counted by one ascending
+        walk of sieved windows (``_pi_walk``) and phi expands every node whose
+        count would lie past the table.
+        """
+        self._extend_to_value(_icbrt(x * x) + 1)
+        table = self._primes
+        root = isqrt(x)
+        a = bisect_right(table, _icbrt(x))
+        b = bisect_right(table, root) if root < self._sieved_to else self.prime_count(root)
+        # x // p lies past the table exactly when p <= x // end.
+        end = self._sieved_to
+        cut = min(x // end, root)
+        j = max(a, bisect_right(table, cut))
+        near = sum([bisect_right(table, x // p) for p in islice(table, j, b)])
+        far = sum(self._pi_walk(x // p for p in self._primes_down(table[a - 1], cut)))
+        return _phi(x, a, table, end) + a - 1 - near - far + (b * (b - 1) - a * (a - 1)) // 2
+
+    def _primes_down(self, lo, hi):
+        """The primes in (lo, hi] in descending order: windows past the
+        table, then the table."""
+        while hi >= self._sieved_to:
+            bottom = max(lo, hi - _SEGMENT_SPAN, self._sieved_to - 1)
+            yield from reversed(self._window(bottom + 1, hi + 1))
+            hi = bottom
+        table = self._primes
+        yield from reversed(table[bisect_right(table, lo) : bisect_right(table, hi)])
+
+    def _pi_walk(self, values):
+        """pi(v) for each v of an ascending iterable of values past the table,
+        by one ascending walk of sieved windows that keeps only the current
+        one."""
+        count = len(self._primes)  # the primes below lo
+        lo = hi = self._sieved_to  # found holds the primes in [lo, hi)
+        found = ()
+        for v in values:
+            while v >= hi:
+                count += len(found)
+                lo, hi = hi, hi + _SEGMENT_SPAN
+                found = self._window(lo, hi)
+            yield count + bisect_right(found, v)
+
     def _remember(self, key, value):
         if len(self._far) >= _FAR_MEMO_SIZE:
             del self._far[next(iter(self._far))]
@@ -332,7 +438,9 @@ class PrimeOracle:
 
     def _nth_past_prefix(self, m):
         """p_m for a prime past the prefix: pi at Dusart's lower bound x0 on
-        p_m, then sieved windows upwards from x0 until the count is m."""
+        p_m, counted by Meissel's formula (``_count_past_prefix``), then
+        sieved windows upwards from x0 until the count is m.  Near the
+        ceiling pi(ceiling) is counted once per oracle to decide refusals."""
         p = self._far.get(("nth", m))
         if p is not None:
             return p
@@ -413,7 +521,8 @@ class PrimeOracle:
         raise NotPrime(f"{p} is composite", value=p)
 
     def prime_count(self, x: int) -> int:
-        """pi(x): the number of primes <= x."""
+        """pi(x): the number of primes <= x, from the table inside the
+        prefix and by Meissel's formula past it."""
         if x > self._limit_value:
             raise ValueOutOfRange(
                 f"{x} exceeds the oracle ceiling {self._limit_value}",
@@ -428,7 +537,7 @@ class PrimeOracle:
                 return bisect_right(self._primes, x)
             count = self._far.get(("pi", x))
             if count is None:
-                count = _lucy_count(x)
+                count = self._count_past_prefix(x)
                 self._remember(("pi", x), count)
             return count
 
@@ -463,7 +572,11 @@ class PrimeOracle:
 
         * two or more prime factors, counted with multiplicity, lie above
           the ceiling (``cofactor`` is their product);
-        * a cofactor is too large to certify (3.3 * 10^24 or more);
+        * a cofactor of 3.3 * 10^24 or more passes every Miller-Rabin
+          witness, so it is probably prime but cannot be certified, or is
+          too large to test (1.1 * 10^49 or more); ``value`` is that
+          cofactor.  One below 1.1 * 10^49 that fails a witness is composite
+          and goes to rho like any other;
         * rho finds no factor of a composite cofactor within its budget
           (``cofactor`` is that cofactor).
         """

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against different algorithms than
 the package code paths it verifies: a monolithic byte-per-integer sieve
-(the package uses odd-only segmented kernels), all-pairs BFS for structural
+(the package uses odd-only segmented kernels), the Lucy_Hedgehog prime
+count (the package counts by Meissel's formula), all-pairs BFS for structural
 parameters (the package decomposes over edges), the classic two-case
 recursion for binary tree counts (the package loops over pairs), and an
 exhaustive scan that encodes every enumerated tree for the extremal trees
@@ -54,6 +55,43 @@ class MonolithicSieve:
 
     def count(self, x):
         return self.flags.count(1, 0, x + 1)
+
+
+def lucy_count(x):
+    """pi(x) by the Lucy_Hedgehog method: O(x^(3/4)) time, O(sqrt x) memory.
+
+    ``small[v]`` and ``large[i]`` hold S(v) and S(x // i) for v, i <= sqrt x,
+    where S(v) counts the integers in [2, v] that survive sieving by the
+    primes below p.  Sieving by p lowers S(v) by S(v // p) - S(p - 1) for
+    every v >= p^2; values are updated in decreasing order of v, so every
+    S(v // p) read is still from the previous round.  Each round is a few
+    list comprehensions, which keeps the per-value work in C.
+    """
+    r = isqrt(x)
+    small = list(range(-1, r))
+    small[0] = 0
+    large = [0] + [x // i - 1 for i in range(1, r + 1)]
+    for p in range(2, r + 1):
+        below = small[p - 1]
+        if small[p] == below:
+            continue  # p is composite
+        p2 = p * p
+        top = min(r, x // p2)
+        # For i <= r // p, x // (i p) is a large entry; beyond it, a small one.
+        mid = min(top, r // p)
+        large[1 : mid + 1] = [
+            a - b + below for a, b in zip(large[1 : mid + 1], large[p : mid * p + 1 : p])
+        ]
+        xp = x // p
+        large[mid + 1 : top + 1] = [
+            a - small[xp // i] + below
+            for i, a in zip(range(mid + 1, top + 1), large[mid + 1 : top + 1])
+        ]
+        if p2 <= r:
+            small[p2 : r + 1] = [
+                a - small[v // p] + below for v, a in zip(range(p2, r + 1), small[p2 : r + 1])
+            ]
+    return large[1]
 
 
 def naive_nth_prime(m):

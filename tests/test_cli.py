@@ -409,6 +409,42 @@ def test_decode_of_a_semiprime_past_the_ceiling_is_a_range_error():
     )
 
 
+def test_decode_of_a_prime_power_past_the_certification_bound(capsys):
+    # 65537^6 lies past 3.3 * 10^24, where no prime can be certified, but a
+    # witness proves it composite and rho splits it into p_6543 = 65537.
+    n = 65537**6
+    code, out, err = run_cli(capsys, "decode", str(n))
+    assert (code, err) == (0, "")
+    code, back, _ = run_cli(capsys, "encode", out.strip())
+    assert (code, back) == (0, f"{n}\n")
+
+
+def test_decode_of_a_probable_prime_past_the_certification_bound(capsys, monkeypatch):
+    # 2^89 - 1 passes every witness: refused at once, rho never runs.
+    calls = []
+    monkeypatch.setattr(primes, "_pollard_brent", calls.append)
+    n = 2**89 - 1
+    code, out, err = run_cli(capsys, "decode", str(n))
+    assert (code, out, calls) == (3, "", [])
+    assert err == (
+        f"error: cannot certify primality of {n} (beyond deterministic witness range)\n"
+    )
+
+
+def test_last_prime_below_the_default_ceiling():
+    # A fresh process counts pi(2^32) to decide the refusal, then p_m.
+    env = dict(os.environ)
+    env.pop("MATULA_PRIME_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "matula.cli", "primes", "nth", "203280221"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4294967291\n", "")
+
+
 def test_json_mode_streams_objects(capsys):
     code, out, _ = run_cli(capsys, "--json", "verify", "lemma1", "--max", "4")
     records = [json.loads(line) for line in out.splitlines()]

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 import threading
+from bisect import bisect_right
+from itertools import islice
 from math import isqrt
 
 import pytest
@@ -20,7 +22,7 @@ from matula import (
 )
 from matula import _sieve_py, primes
 
-from oracles import MonolithicSieve, naive_nth_prime
+from oracles import MonolithicSieve, lucy_count, naive_nth_prime
 
 
 def test_nth_prime_golden(oracle):
@@ -106,6 +108,18 @@ def test_factorize_error_when_uncertifiable():
     with pytest.raises(FactorOutOfRange) as err:
         small.factorize(composite)
     assert err.value.cofactor == composite
+
+
+def test_is_prime_certified_past_the_witness_bound():
+    # Past 3.3 * 10^24 a failed witness still proves a number composite; one
+    # that passes them all cannot be certified, and past the square of that
+    # bound no witness runs.
+    assert not is_prime_certified(65537**6)
+    assert not is_prime_certified((2**89 - 1) * (2**61 - 1))
+    for n in (2**89 - 1, 65537**12):
+        with pytest.raises(FactorOutOfRange) as err:
+            is_prime_certified(n)
+        assert err.value.value == n
 
 
 def test_is_prime_certified_against_sieve():
@@ -200,7 +214,7 @@ def test_oracle_repr_shows_ceiling_and_reach():
     assert "sieved_to=65537" in text
 
 
-# -- past the sieved prefix: Lucy_Hedgehog pi, windowed nth prime, rho -------
+# -- past the sieved prefix: Meissel's pi, windowed nth prime, rho ----------
 
 PI_2_24 = 1_077_871  # pi(2^24): the last index the sieved prefix holds
 
@@ -212,21 +226,102 @@ def big_sieve():
 
 
 def test_lucy_pi_matches_monolithic_sieve(big_sieve):
+    # Lucy_Hedgehog is the second route to pi past the prefix.
     rng = random.Random(7)
     points = [2, 3, 10, 2**16, 2**24 - 1, 2**24, 2**24 + 1, 2 * 10**8]
     points += [rng.randrange(2**24, 2 * 10**8) for _ in range(4)]
     oracle = PrimeOracle()
     for x in points:
-        # Past 2^24 the oracle counts by Lucy; below it, by its table.
+        assert lucy_count(x) == big_sieve.count(x), x
         assert oracle.prime_count(x) == big_sieve.count(x), x
-        if x <= 2**24:
-            assert primes._lucy_count(x) == big_sieve.count(x), x
 
 
-def test_lucy_pi_published_values():
+def test_meissel_pi_matches_monolithic_sieve(big_sieve):
+    rng = random.Random(13)
+    oracle = PrimeOracle()
+    for x in [2**24 + 1, 2 * 10**8] + [rng.randrange(2**24, 2 * 10**8) for _ in range(24)]:
+        assert oracle.prime_count(x) == big_sieve.count(x), x
+
+
+def test_meissel_pi_at_edge_points(big_sieve):
+    # Squares of primes move b = pi(sqrt x), cubes of primes a = pi(x^(1/3));
+    # cubes of composites test the integer cube root, 30030 the wheel.
+    squares = [p * p for p in (4099, 9973, 14107)]
+    cubes = [n**3 for n in (257, 401, 577, 300, 432, 584)]
+    wheel = [30030 * q for q in (559, 560, 3000, 6659)]
+    points = [2**24 + 1, 2**24 + 2]
+    points += [v + d for v in squares + cubes + wheel for d in (-1, 0, 1)]
+    oracle = PrimeOracle()
+    for x in points:
+        assert oracle.prime_count(x) == big_sieve.count(x), x
+
+
+def _brute_phi(y, k, table):
+    """How many of 1..y have no prime factor among the first k primes."""
+    survivors = bytearray(b"\x01") * (y + 1)
+    survivors[0] = 0
+    for p in islice(table, k):
+        survivors[::p] = bytes(len(range(0, y + 1, p)))
+    return survivors.count(1)
+
+
+def test_phi_at_its_cut_offs():
+    # phi(y, k) switches from expansion to a pi read at y = p_{k+1}^2 and
+    # p_{k+1}^3, and past the table end once y // p_i reaches it.
+    table = _sieve_py.simple_sieve(2**20)
+    # Only the primes below 2^10: a table end low enough to force the
+    # expansions of nodes whose pi would lie past it.
+    low = table[: bisect_right(table, 2**10)]
+    for k in (6, 7, 8, 9, 12, 30):
+        q = table[k]  # p_{k+1}
+        for y in (q * q - 1, q * q, q * q + 1, q**3 - 1, q**3, q**3 + 1, 30030 * k + 1):
+            if y < 3 * 10**6:
+                expected = _brute_phi(y, k, table)
+                assert primes._phi(y, k, table, 2**20 + 1) == expected, (y, k)
+                assert primes._phi(y, k, low, 2**10 + 1) == expected, (y, k)
+
+
+def test_meissel_pi_matches_lucy():
+    rng = random.Random(17)
+    oracle = PrimeOracle()
+    for x in [rng.randrange(2 * 10**8, 2**32) for _ in range(3)]:
+        assert oracle.prime_count(x) == lucy_count(x), x
+
+
+def test_pi_published_values():
     oracle = PrimeOracle()
     assert oracle.prime_count(10**9) == 50_847_534
     assert oracle.prime_count(2**32) == 203_280_221
+    assert PrimeOracle(limit_value=10**10).prime_count(10**10) == 455_052_511
+
+
+@pytest.mark.parametrize("cap, bootstrap", [(2**16, 2**16), (2**12, 2**6)])
+def test_counts_past_a_small_prefix(big_sieve, monkeypatch, cap, bootstrap):
+    # With the prefix cut to 2^16, x^(2/3) lies past it from x = 2^24 on, so
+    # the sum's terms past the prefix come from the counting walk.  Cut to
+    # 2^12, phi also expands nodes whose pi would lie past the table (from
+    # x = 23 * 2^18 on), and the primes up to sqrt x come from windows.
+    monkeypatch.setattr(primes, "_PREFIX_CAP", cap)
+    monkeypatch.setattr(primes, "_BOOTSTRAP", bootstrap)
+    oracle = PrimeOracle()
+    rng = random.Random(19)
+    for x in [10**7, 2**24 + 1] + [rng.randrange(10**7, 2 * 10**8) for _ in range(4)]:
+        assert oracle.prime_count(x) == big_sieve.count(x), x
+    for m in [big_sieve.count(cap) + 1, 10**6] + [rng.randrange(10**6, 11_078_937) for _ in range(3)]:
+        p = big_sieve.nth(m)
+        assert oracle.nth_prime(m) == p, m
+        assert PrimeOracle().prime_index(p) == m, m
+    assert f"cached={big_sieve.count(cap)})" in repr(oracle)
+
+
+def test_the_default_ceiling_edge(monkeypatch):
+    monkeypatch.delenv("MATULA_PRIME_BOUND", raising=False)
+    oracle = PrimeOracle()
+    assert oracle.nth_prime(203_280_221) == 4_294_967_291
+    assert oracle.prime_count(2**32) == 203_280_221
+    with pytest.raises(IndexOutOfRange) as err:
+        oracle.nth_prime(203_280_222)
+    assert err.value.index == 203_280_222
 
 
 def test_nth_prime_and_index_across_the_prefix_cap(big_sieve):
