@@ -352,15 +352,17 @@ def run(argv=None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
-        if args.prime_bound is not None:
-            try:
-                oracle = primes.PrimeOracle(limit_value=args.prime_bound)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            # Every layer reads the shared oracle, so the override applies
-            # process-wide for this run.
-            primes.set_default_oracle(oracle)
+        try:
+            # Built here, a bad MATULA_PRIME_BOUND is a usage error like a bad
+            # --prime-bound.  Every layer reads the shared oracle, so an
+            # override applies process-wide for this run.
+            if args.prime_bound is None:
+                primes.default_oracle()
+            else:
+                primes.set_default_oracle(primes.PrimeOracle(args.prime_bound))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.command == "verify":
             return _VERIFIERS[args.verb](args)
         return _COMMANDS[args.command](args)

@@ -16,7 +16,8 @@ Past the prefix no table is kept:
   is sieved that far on demand;
 * the m-th prime is found by counting pi(x0) at Dusart's proven lower bound
   x0 on p_m, then sieving bounded windows upwards from x0 until the count
-  reaches m;
+  reaches m; p_m > x0, so m is refused when x0 or the walk reaches the
+  ceiling first;
 * factorization trial-divides by the primes up to 2^16 only, then certifies
   the cofactor by Miller-Rabin or splits it by Pollard-Brent rho alone.
 
@@ -24,11 +25,11 @@ So the ceiling bounds run time, not memory.  Answers past the prefix are
 kept in one small bounded memo per oracle, because tree codecs and
 enumerations ask for the same indices again and again.
 
-The two analytic prime bounds used throughout the extremal searches live here
-as module functions: ``robin_lower`` (valid for every index m >= 2) and
-``rosser_schoenfeld_upper`` (valid for m >= 20).  Together with Dusart's
-upper bound (valid for m >= 39017) they also bound ln p_m, which orders trees
-whose branch primes lie past the prefix (``_ln_prime_bounds``).
+Two analytic prime bounds live here as module functions: ``robin_lower``
+(valid for every index m >= 2) and ``rosser_schoenfeld_upper`` (valid for
+m >= 20).  Together with Dusart's upper bound (valid for m >= 39017) they
+also bound ln p_m, which orders trees whose branch primes lie past the
+prefix (``_ln_prime_bounds``).
 """
 
 import os
@@ -67,10 +68,10 @@ _PREFIX_CAP = 1 << 24
 _SEGMENT_SPAN = 1 << 23
 
 # Values per window when walking up from Dusart's lower bound to an nth prime
-# past the prefix.  The bound falls short of p_m by about 2 * 10^4 values at
-# p_m = 10^8, 1.3 * 10^5 (one window) at 10^9 and 5 * 10^5 (four windows) at
-# 2^32.  Bulk sieving past the prefix uses _SEGMENT_SPAN, which costs less per
-# value.
+# past the prefix, or to the ceiling to refuse one.  The bound falls short of
+# p_m by about 2 * 10^4 values at p_m = 10^8, 1.3 * 10^5 (one window) at 10^9,
+# 5 * 10^5 (four windows) at 2^32 and 6.7 * 10^6 (51 windows) at 2^36.  Bulk
+# walks past the prefix use _SEGMENT_SPAN, which costs less per value.
 _WINDOW_SPAN = 1 << 17
 
 # Entries of the per-oracle memo of answers past the prefix.
@@ -315,12 +316,15 @@ class PrimeOracle:
     """
 
     def __init__(self, limit_value=None):
+        name, given = "limit_value", limit_value
         if limit_value is None:
-            limit_value = int(os.environ.get(ENV_PRIME_BOUND, DEFAULT_PRIME_BOUND))
+            name, given = ENV_PRIME_BOUND, os.environ.get(ENV_PRIME_BOUND)
+            try:
+                limit_value = DEFAULT_PRIME_BOUND if given is None else int(given)
+            except ValueError:
+                limit_value = 0  # not an integer: refused below
         if not 2 <= limit_value <= _HARD_VALUE_CAP:
-            raise ValueError(
-                f"limit_value must be in [2, {_HARD_VALUE_CAP}], got {limit_value}"
-            )
+            raise ValueError(f"{name} must be in [2, {_HARD_VALUE_CAP}], got {given!r}")
         self._limit_value = int(limit_value)
         self._lock = threading.RLock()
         bootstrap = min(_BOOTSTRAP, self._limit_value)
@@ -330,7 +334,6 @@ class PrimeOracle:
         # The table never covers values at or past this.
         self._prefix_end = min(self._limit_value, _PREFIX_CAP) + 1
         self._far = {}  # ("nth", m) -> p_m and ("pi", x) -> pi(x) past the prefix
-        self._count_at_ceiling = None
 
     def __repr__(self):
         return (
@@ -374,6 +377,16 @@ class PrimeOracle:
         # lo > 2, so an even lo is no prime and may be skipped.
         return _sieve_py.sieve_segment(lo | 1, hi, base)
 
+    def _windows(self, lo, end, span):
+        """(hi, the primes in [lo, hi)) for consecutive windows of ``span``
+        values from lo > 2 up to end, each sieved under the lock, none kept."""
+        while lo < end:
+            hi = min(lo + span, end)
+            with self._lock:
+                found = self._window(lo, hi)
+            yield hi, found
+            lo = hi
+
     def _count_past_prefix(self, x):
         """pi(x) for x past the prefix, by Meissel's formula as Lehmer (1959,
         Illinois J. Math. 3) made it practical:
@@ -413,14 +426,13 @@ class PrimeOracle:
         """pi(v) for each v of an ascending iterable of values past the table,
         by one ascending walk of sieved windows that keeps only the current
         one."""
-        count = len(self._primes)  # the primes below lo
-        lo = hi = self._sieved_to  # found holds the primes in [lo, hi)
-        found = ()
+        count = len(self._primes)  # the primes below the window in found
+        hi, found = self._sieved_to, ()
+        windows = self._windows(hi, self._limit_value + 1, _SEGMENT_SPAN)
         for v in values:
             while v >= hi:
                 count += len(found)
-                lo, hi = hi, hi + _SEGMENT_SPAN
-                found = self._window(lo, hi)
+                hi, found = next(windows)
             yield count + bisect_right(found, v)
 
     def _remember(self, key, value):
@@ -439,27 +451,21 @@ class PrimeOracle:
     def _nth_past_prefix(self, m):
         """p_m for a prime past the prefix: pi at Dusart's lower bound x0 on
         p_m, counted by Meissel's formula (``_count_past_prefix``), then
-        sieved windows upwards from x0 until the count is m.  Near the
-        ceiling pi(ceiling) is counted once per oracle to decide refusals."""
+        sieved windows upwards from x0 until the count is m.  p_m > x0, so
+        m is refused when x0 or the walk reaches the ceiling first."""
         p = self._far.get(("nth", m))
         if p is not None:
             return p
-        if rosser_schoenfeld_upper(m) * (1 + _WIDEN) > self._limit_value:
-            if self._count_at_ceiling is None:
-                self._count_at_ceiling = self.prime_count(self._limit_value)
-            if m > self._count_at_ceiling:
-                raise self._refusal(m)
-        # The refusals passed and p_m lies past the prefix, so x0 < p_m <= the
-        # ceiling: fewer than m primes lie up to x0.
         x0 = max(int(_dusart_lower(m) * (1 - _WIDEN)), _PREFIX_CAP)
-        count = self.prime_count(x0)
-        lo = x0 + 1
-        while True:
-            found = self._window(lo, lo + _WINDOW_SPAN)
+        if x0 >= self._limit_value:
+            raise self._refusal(m)
+        count = self.prime_count(x0)  # fewer than m, as p_m > x0
+        for _, found in self._windows(x0 + 1, self._limit_value + 1, _WINDOW_SPAN):
             if len(found) >= m - count:
                 break
             count += len(found)
-            lo += _WINDOW_SPAN
+        else:
+            raise self._refusal(m)
         p = found[m - count - 1]
         self._remember(("nth", m), p)
         self._remember(("pi", p), m)
@@ -491,11 +497,8 @@ class PrimeOracle:
         p = self._prefix_prime(m)
         if p is not None:
             return p
-        # Fast refusal when a lower bound (p_m > m, Robin's) already clears
-        # the ceiling, or when the prefix covers the ceiling.
-        if m > self._limit_value or robin_lower(m) * (1 - _WIDEN) > self._limit_value:
-            raise self._refusal(m)
-        if self._prefix_end > self._limit_value:
+        # p_m > m; this also keeps Dusart's bound finite for a huge m.
+        if m > self._limit_value:
             raise self._refusal(m)
         with self._lock:
             return self._nth_past_prefix(m)
@@ -553,14 +556,8 @@ class PrimeOracle:
             with self._lock:
                 self._extend_to_value(self._prefix_end)
         yield from islice(self._primes, m)
-        count = len(self._primes)
-        lo = self._sieved_to
-        while count < m:
-            with self._lock:
-                found = self._window(lo, min(lo + _SEGMENT_SPAN, last + 1))
-            yield from islice(found, m - count)
-            count += len(found)
-            lo += _SEGMENT_SPAN
+        for _, found in self._windows(self._sieved_to, last + 1, _SEGMENT_SPAN):
+            yield from found
 
     def factorize(self, n: int):
         """Prime decomposition of n as [(prime, exponent), ...], ascending.

@@ -158,6 +158,31 @@ def test_prime_bound_flag_validation(capsys):
     assert "limit_value" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1", "99999999999999999999"])
+def test_bad_prime_bound_variable_is_a_usage_error(value):
+    env = dict(os.environ, MATULA_PRIME_BOUND=value)
+
+    def matula(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "matula.cli", *argv],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+
+    proc = matula("primes", "nth", "5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: MATULA_PRIME_BOUND must be in [2, {2**52}], got {value!r}\n"
+    # An explicit ceiling does not read the variable.
+    proc = matula("--prime-bound", "100", "primes", "nth", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "11\n", "")
+
+
+def test_bad_prime_bound_variable_keeps_an_installed_oracle(capsys, ceiling, monkeypatch):
+    installed = ceiling(100)
+    monkeypatch.setenv("MATULA_PRIME_BOUND", "abc")
+    assert run_cli(capsys, "primes", "nth", "5") == (0, "11\n", "")
+    assert primes.default_oracle() is installed
+
+
 def test_seq_q(capsys):
     code, out, _ = run_cli(capsys, "seq", "q", "--max", "6")
     assert code == 0

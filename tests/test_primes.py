@@ -4,7 +4,7 @@ import subprocess
 import sys
 import threading
 from bisect import bisect_right
-from itertools import islice
+from itertools import compress, count, islice
 from math import isqrt
 
 import pytest
@@ -335,10 +335,26 @@ def test_nth_prime_and_index_across_the_prefix_cap(big_sieve):
         PrimeOracle().prime_index(99_999_991)  # 7 * 13 * 769 * 1429
 
 
-def test_index_out_of_range_just_past_pi_of_ceiling(big_sieve):
+@pytest.fixture
+def pi_counts(monkeypatch):
+    """The x of every pi count past the prefix, in call order."""
+    calls = []
+    original = PrimeOracle._count_past_prefix
+
+    def spy(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(PrimeOracle, "_count_past_prefix", spy)
+    return calls
+
+
+def test_index_out_of_range_just_past_pi_of_ceiling(big_sieve, pi_counts):
     oracle = PrimeOracle(limit_value=2 * 10**8)
     last = big_sieve.count(2 * 10**8)
     assert oracle.nth_prime(last) == big_sieve.nth(last)
+    # One count at Dusart's bound; the walk from it decides, not pi(ceiling).
+    assert len(pi_counts) == 1 and pi_counts[0] < 2 * 10**8
     with pytest.raises(IndexOutOfRange) as err:
         oracle.nth_prime(last + 1)
     assert err.value.index == last + 1
@@ -373,10 +389,24 @@ def test_prefix_prime_answers_inside_the_prefix_only():
     assert "sieved_to=65537," in repr(fresh)
 
 
-def test_nth_prime_refuses_a_huge_index():
-    with pytest.raises(IndexOutOfRange) as err:
-        PrimeOracle().nth_prime(10**400)
-    assert err.value.index == 10**400
+def test_nth_prime_refuses_a_huge_index(pi_counts):
+    # p_m > m, Dusart's bound past the ceiling, or a prefix that covers the
+    # ceiling: each refuses before any count.
+    for limit_value, m in [(2**32, 10**400), (10**6, 78_499), (2**32, 10**12),
+                           (2**32, 204_280_222)]:
+        with pytest.raises(IndexOutOfRange) as err:
+            PrimeOracle(limit_value=limit_value).nth_prime(m)
+        assert err.value.index == m
+    assert pi_counts == []
+
+
+def test_prime_stream_past_the_prefix_matches_the_sieve(big_sieve):
+    # Past the prefix the stream runs through two whole sieved windows.
+    m = big_sieve.count(primes._PREFIX_CAP + 2 * primes._SEGMENT_SPAN + 5)
+    stream = islice(PrimeOracle().primes_up_to_index(m), PI_2_24, None)
+    sieved = islice(compress(count(), big_sieve.flags), PI_2_24, m)
+    for k, (p, q) in enumerate(zip(stream, sieved, strict=True), PI_2_24 + 1):
+        assert p == q, k
 
 
 def test_far_memo_is_bounded(monkeypatch):
@@ -501,8 +531,8 @@ def test_shared_oracle_under_threads(monkeypatch):
     indices = [PI_2_24 + k for k in range(0, 4000, 250)]
     reference = PrimeOracle()
     expected = {m: reference.nth_prime(m) for m in indices}
-    # A ceiling just past every answer, so refusals also race on the lazily
-    # counted pi(ceiling).
+    # A ceiling just past every answer.  No count at the ceiling is kept, so
+    # the threads race on the table, the window walks and the memo.
     shared = PrimeOracle(limit_value=17_000_000)
     errors = []
 
