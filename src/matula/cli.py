@@ -17,6 +17,7 @@ from contextlib import suppress
 from dataclasses import asdict
 from itertools import islice
 from math import log
+from operator import gt, truediv
 
 from . import extremal, primes, treetext
 from .codec import decode, encode
@@ -289,25 +290,24 @@ def _verify_prime_bounds(args):
     m_max = args.max_m
     if m_max < 2:
         raise DomainError(f"--max-m must be >= 2, got {m_max}")
-    # The primes stream past in order, so memory stays bounded for any m_max.
-    stream = primes.default_oracle().primes_up_to_index(m_max)
+    # The primes stream past in chunks, so memory stays bounded for any m_max.
+    stream = islice(primes.default_oracle().primes_up_to_index(m_max), 1, None)
     failures = 0
-    robin, rosser, dusart, dusart_lower = (
-        primes._ROBIN, primes._ROSSER, primes._DUSART, primes._DUSART_LOWER
-    )
-    for m, p in enumerate(islice(stream, 1, None), start=2):
-        # The expressions of robin_lower, rosser_schoenfeld_upper, Dusart's
-        # 1999 upper bound and primes._dusart_lower, with the logs taken once.
-        ln_m = log(m)
-        ln_ln_m = log(ln_m)
-        if m * (ln_m + ln_ln_m - robin) > p:
-            failures += _violation(args, m, p, "lower")
-        if m >= 20 and p > m * (ln_m + ln_ln_m - rosser):
-            failures += _violation(args, m, p, "upper")
-        if m >= 39017 and p > m * (ln_m + ln_ln_m - dusart):
-            failures += _violation(args, m, p, "dusart")
-        if m >= 3 and m * (ln_m + ln_ln_m - 1 + (ln_ln_m - dusart_lower) / ln_m) > p:
-            failures += _violation(args, m, p, "dusart-lower")
+    for start in range(2, m_max + 1, 1 << 12):  # no row starts below m = 2
+        ps = list(islice(stream, 1 << 12))
+        ms = range(start, start + len(ps))
+        ln_ms = list(map(log, ms))
+        ln_ln_ms = list(map(log, ln_ms))
+        ratios = list(map(truediv, ps, ms))  # p_m / m, against each row's factor
+        found = []  # (m, row number, p) for each bound p_m violates
+        for i, row in enumerate(primes._BOUNDS):
+            k = max(row.least - start, 0)  # from the row's least m on
+            factors = primes._factors(row, ln_ms[k:], ln_ln_ms[k:])
+            big, small = (factors, ratios[k:]) if row.side == "lower" else (ratios[k:], factors)
+            if any(map(gt, big, small)):
+                found += [(m, i, p) for m, p, x, y in zip(ms[k:], ps[k:], big, small) if x > y]
+        for m, i, p in sorted(found):
+            failures += _violation(args, m, p, primes._BOUNDS[i].name)
     lower_of_last = _six_figures(primes.robin_lower(m_max))
     upper_of_last = _six_figures(primes.rosser_schoenfeld_upper(max(m_max, 20)))
     _emit(
@@ -361,7 +361,7 @@ def run(argv=None) -> int:
             else:
                 primes.set_default_oracle(primes.PrimeOracle(args.prime_bound))
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {exc}".replace("limit_value", "--prime-bound"), file=sys.stderr)
             return 2
         if args.command == "verify":
             return _VERIFIERS[args.verb](args)

@@ -14,8 +14,8 @@ Past the prefix no table is kept:
 * pi(x) is counted by Meissel's formula, which reads pi only up to x^(2/3)
   and so, under every ceiling up to 2^36, only from the prefix; the prefix
   is sieved that far on demand;
-* the m-th prime is found by counting pi(x0) at Dusart's proven lower bound
-  x0 on p_m, then sieving bounded windows upwards from x0 until the count
+* the m-th prime is found by counting pi(x0) at the tightest proven lower
+  bound x0 on p_m, then sieving bounded windows upwards from x0 until the count
   reaches m; p_m > x0, so m is refused when x0 or the walk reaches the
   ceiling first;
 * factorization trial-divides by the primes up to 2^16 only, then certifies
@@ -25,19 +25,16 @@ So the ceiling bounds run time, not memory.  Answers past the prefix are
 kept in one small bounded memo per oracle, because tree codecs and
 enumerations ask for the same indices again and again.
 
-Two analytic prime bounds live here as module functions: ``robin_lower``
-(valid for every index m >= 2) and ``rosser_schoenfeld_upper`` (valid for
-m >= 20).  Together with Dusart's upper bound (valid for m >= 39017) they
-also bound ln p_m, which orders trees whose branch primes lie past the
-prefix (``_ln_prime_bounds``).
+Every proven bound on p_m that the package trusts is a row of ``_BOUNDS``.
 """
 
 import os
 import threading
 from bisect import bisect_left, bisect_right
-from functools import cache
+from collections import namedtuple
+from functools import cache, lru_cache
 from itertools import accumulate, groupby, islice
-from math import gcd, isqrt, log
+from math import exp, gcd, inf, isqrt, log
 
 from . import _sieve_py
 from .errors import (
@@ -67,7 +64,7 @@ _PREFIX_CAP = 1 << 24
 # Values per lazy extension step (even, so segment bounds stay odd-aligned).
 _SEGMENT_SPAN = 1 << 23
 
-# Values per window when walking up from Dusart's lower bound to an nth prime
+# Values per window when walking up from the lower bound to an nth prime
 # past the prefix, or to the ceiling to refuse one.  The bound falls short of
 # p_m by about 2 * 10^4 values at p_m = 10^8, 1.3 * 10^5 (one window) at 10^9,
 # 5 * 10^5 (four windows) at 2^32 and 6.7 * 10^6 (51 windows) at 2^36.  Bulk
@@ -102,59 +99,70 @@ _WHEEL, _WHEEL_TOTIENT = 30030, 5760
 _WIDEN = 1e-12
 
 
-# m (ln m + ln ln m - c) bounds p_m from below with c = _ROBIN (m >= 2), and
-# from above with c = _ROSSER (m >= 20) and c = _DUSART (m >= 39017; Dusart
-# 1999, Math. Comp. 68).
-_ROBIN, _ROSSER, _DUSART = 1.0072629, 0.5, 0.9484
-_LN_20, _LN_39017 = log(20), log(39017)
+# Proven bounds on p_m, (name, side, c, second order?, least m): for every
+# m >= least m, p_m lies on ``side`` of the bound, which grows with m.
+_Bound = namedtuple("_Bound", "name side c second least")
+_BOUNDS = (
+    # Robin 1983 (Acta Arith. 42): p_k >= k (ln k + ln ln k - 1.0072629)
+    # for k >= 2.
+    _Bound("lower", "lower", 1.0072629, False, 2),
+    # Rosser and Schoenfeld 1962 (Illinois J. Math. 6):
+    # p_n < n (ln n + ln ln n - 1/2) for n >= 20.
+    _Bound("upper", "upper", 0.5, False, 20),
+    # Dusart 1999 (Math. Comp. 68): p_k <= k (ln k + ln ln k - 0.9484) for
+    # k >= 39017.
+    _Bound("dusart", "upper", 0.9484, False, 39017),
+    # Dusart 2010 ("Estimates of some functions over primes without R.H.",
+    # arXiv:1002.0442): for n >= 3,
+    # p_n >= n (ln n + ln ln n - 1 + (ln ln n - 2.1) / ln n),
+    _Bound("dusart-lower", "lower", 2.1, True, 3),
+    # and for n >= 688383, p_n <= n (ln n + ln ln n - 1 + (ln ln n - 2) / ln n).
+    _Bound("dusart-upper", "upper", 2.0, True, 688383),
+)
 
-# Dusart 2010 ("Estimates of some functions over primes without R.H.",
-# arXiv:1002.0442): p_n >= n (ln n + ln ln n - 1 + (ln ln n - 2.1) / ln n)
-# for n >= 3.  _dusart_lower computes it with 2.1 = _DUSART_LOWER.
-_DUSART_LOWER = 2.1
+
+def _factors(row, ln_ms, ln_ln_ms):
+    """For each ln m and ln ln m, the f with m f the bound of ``row`` on p_m."""
+    _, _, c, second, _ = row
+    return [x + y - 1 + (y - c) / x if second else x + y - c for x, y in zip(ln_ms, ln_ln_ms)]
 
 
 def robin_lower(m):
-    """Robin's lower bound on the m-th prime: m (ln m + ln ln m - 1.0072629).
+    """Robin's lower bound on the m-th prime, the ``lower`` row of ``_BOUNDS``.
 
     Rigorous for every integer m >= 2 (at m = 2 the value is negative but
     still a valid lower bound).
     """
     if m < 2:
         raise DomainError(f"robin_lower needs m >= 2, got {m}")
-    return m * (log(m) + log(log(m)) - _ROBIN)
+    return m * _factors(_BOUNDS[0], [log(m)], [log(log(m))])[0]
 
 
 def rosser_schoenfeld_upper(m):
     """Rosser-Schoenfeld upper bound on the m-th prime, valid for m >= 20."""
     if m < 20:
         raise DomainError(f"rosser_schoenfeld_upper needs m >= 20, got {m}")
-    return m * (log(m) + log(log(m)) - _ROSSER)
+    return m * _factors(_BOUNDS[1], [log(m)], [log(log(m))])[0]
 
 
-def _dusart_lower(m):
-    """Dusart's 2010 lower bound on the m-th prime, valid for m >= 3."""
-    ln_m = log(m)
-    ln_ln_m = log(ln_m)
-    return m * (ln_m + ln_ln_m - 1 + (ln_ln_m - _DUSART_LOWER) / ln_m)
-
-
+@lru_cache(maxsize=1 << 12)
 def _ln_prime_bounds(lo, hi):
-    """Bounds (lower, upper) on ln p_m for every m with lo <= ln m <= hi, or
-    None when m may lie below 20.  Unwidened against float rounding."""
-    if lo < _LN_20:
-        return None
-    c = _DUSART if lo >= _LN_39017 else _ROSSER
-    return lo + log(lo + log(lo) - _ROBIN), hi + log(hi + log(hi) - c)
+    """The tightest bounds (lower, upper) on ln p_m for every m with lo <= ln m
+    <= hi, or None when m may lie below 20.  Unwidened against float rounding."""
+    rows = [row for row in _BOUNDS if lo >= log(row.least)]
+    upper = [hi + log(_factors(row, [hi], [log(hi)])[0]) for row in rows if row.side == "upper"]
+    # Below m = 20, where no upper row holds, a lower bound may be negative.
+    lower = [lo + log(_factors(row, [lo], [log(lo)])[0]) for row in rows if upper and row.side == "lower"]
+    return (max(lower), min(upper)) if upper else None
 
 
 def is_prime_certified(n: int) -> bool:
     """Deterministic primality check (strong pseudoprime test, fixed witnesses).
 
-    Certified for n below 3.3 * 10^24.  Below the square of that bound a
-    failed witness still proves n composite (False).  Any other n raises
-    FactorOutOfRange, since this package never reports uncertified
-    primality.
+    Certified for n up to 3.3 * 10^24, the least composite that passes every
+    witness.  Below the square of that bound a failed witness still proves
+    n composite (False).  Any other n raises FactorOutOfRange, since this
+    package never reports uncertified primality.
     """
     if n < 2:
         return False
@@ -180,9 +188,9 @@ def is_prime_certified(n: int) -> bool:
                 break
         else:
             return False  # a witness proves n composite at any size
-    if n >= _MR_CERTIFIED_BOUND:
+    if n > _MR_CERTIFIED_BOUND:
         raise _uncertifiable(n)
-    return True
+    return n < _MR_CERTIFIED_BOUND  # the bound is itself composite
 
 
 def _uncertifiable(n):
@@ -449,14 +457,15 @@ class PrimeOracle:
         )
 
     def _nth_past_prefix(self, m):
-        """p_m for a prime past the prefix: pi at Dusart's lower bound x0 on
-        p_m, counted by Meissel's formula (``_count_past_prefix``), then
+        """p_m for a prime past the prefix: pi at the tightest lower bound x0
+        on p_m, counted by Meissel's formula (``_count_past_prefix``), then
         sieved windows upwards from x0 until the count is m.  p_m > x0, so
         m is refused when x0 or the walk reaches the ceiling first."""
         p = self._far.get(("nth", m))
         if p is not None:
             return p
-        x0 = max(int(_dusart_lower(m) * (1 - _WIDEN)), _PREFIX_CAP)
+        lower = (_ln_prime_bounds(log(m), log(m)) or (-inf,))[0]  # none below m = 20
+        x0 = max(int(exp(lower) * (1 - _WIDEN)), _PREFIX_CAP)
         if x0 >= self._limit_value:
             raise self._refusal(m)
         count = self.prime_count(x0)  # fewer than m, as p_m > x0
@@ -483,8 +492,9 @@ class PrimeOracle:
         if m >= self._prefix_end or robin_lower(m) * (1 - _WIDEN) >= self._prefix_end:
             return None
         with self._lock:
-            # Rosser-Schoenfeld's bound covers p_m; sieve at least a segment.
-            estimate = int(rosser_schoenfeld_upper(max(m, 20))) + 2
+            # The tightest upper bound covers p_m; sieve at least a segment.
+            ln_m = log(max(m, 20))
+            estimate = int(exp(_ln_prime_bounds(ln_m, ln_m)[1])) + 2
             self._extend_to_value(max(estimate, self._sieved_to + _SEGMENT_SPAN))
             if m <= len(self._primes):
                 return self._primes[m - 1]
@@ -497,7 +507,7 @@ class PrimeOracle:
         p = self._prefix_prime(m)
         if p is not None:
             return p
-        # p_m > m; this also keeps Dusart's bound finite for a huge m.
+        # p_m > m; this also keeps the lower bound finite for a huge m.
         if m > self._limit_value:
             raise self._refusal(m)
         with self._lock:
@@ -569,7 +579,7 @@ class PrimeOracle:
 
         * two or more prime factors, counted with multiplicity, lie above
           the ceiling (``cofactor`` is their product);
-        * a cofactor of 3.3 * 10^24 or more passes every Miller-Rabin
+        * a cofactor past 3.3 * 10^24 passes every Miller-Rabin
           witness, so it is probably prime but cannot be certified, or is
           too large to test (1.1 * 10^49 or more); ``value`` is that
           cofactor.  One below 1.1 * 10^49 that fails a witness is composite

@@ -8,7 +8,7 @@ isomorphism, so deduplication and serialization are trivial downstream.
 Ordering by Matula number is arithmetic, not structural.  Each node compared
 gets one value, once: its exact Matula number while the prime of every
 branch number lies in the shared oracle's sieved prefix, else rigorous
-bounds on ln M from Robin's and Dusart's bounds on p_m (see ``primes``).
+bounds on ln M from the proven bounds on p_m in ``primes._BOUNDS``.
 Nodes compare by exact numbers, else by disjoint bounds; only overlapping
 bounds of different trees fall back to exact numbers through the oracle,
 which can raise IndexOutOfRange for astronomically deep inputs.  That

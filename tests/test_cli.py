@@ -153,9 +153,11 @@ def test_enumerate_cap_flag_must_match_the_size_flag(capsys, argv, flag):
 
 
 def test_prime_bound_flag_validation(capsys):
-    code, _, err = run_cli(capsys, "--prime-bound", "1", "primes", "nth", "1")
-    assert code == 2
-    assert "limit_value" in err
+    # Named like a bad MATULA_PRIME_BOUND: the flag, not the library's argument.
+    for value in ["1", "99999999999999999999"]:
+        code, out, err = run_cli(capsys, "--prime-bound", value, "primes", "nth", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: --prime-bound must be in [2, {2**52}], got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "1", "99999999999999999999"])
@@ -266,19 +268,20 @@ def test_verify_prints_the_certified_interval_past_the_ceiling(capsys):
 @pytest.mark.parametrize(
     "argv, code, message",
     [
-        (["gi-max", "--vertices", "4"], 2, "n >= 5"),
-        (["min-topological", "--leaves", "1"], 2, "n >= 2"),
-        (["max-topological", "--leaves", "0"], 2, ">= 1"),
-        (["min-binary", "--leaves", str(extremal.SIZE_CAP + 1)], 3, "exceeds cap"),
-        # The first size whose two best splits have overlapping bounds:
-        # their exact numbers need a prime past the ceiling.
-        (["min-binary", "--leaves", "95"], 3, "offending index 64474684537"),
+        (["verify", "gi-max", "--vertices", "4"], 2, "n >= 5"),
+        (["verify", "min-topological", "--leaves", "1"], 2, "n >= 2"),
+        (["verify", "max-topological", "--leaves", "0"], 2, ">= 1"),
+        (["verify", "min-binary", "--leaves", str(extremal.SIZE_CAP + 1)], 3, "exceeds cap"),
+        # Two splits whose bounds on ln M overlap: their exact numbers need
+        # p_301 = 1993, past the ceiling.
+        (["--prime-bound", "1000", "verify", "min-binary", "--leaves", "30"], 3,
+         "offending index 301"),
     ],
     ids=["gi-max-4", "min-topological-1", "max-topological-0", "past-the-cap",
          "min-binary-95"],
 )
 def test_verify_sizes_out_of_range(capsys, argv, code, message):
-    got, out, err = run_cli(capsys, "verify", *argv)
+    got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and message in err
 
@@ -306,11 +309,16 @@ def test_verify_prime_bounds(capsys):
     assert "failures=0" in out
 
 
+def _nudged(name, c):
+    """primes._BOUNDS with the constant of the row ``name`` set to c."""
+    return tuple(row._replace(c=c) if row.name == name else row for row in primes._BOUNDS)
+
+
 def test_verify_prime_bounds_checks_dusart(capsys, monkeypatch):
     # Dusart's bound holds from m = 39017; a larger constant breaks it there.
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "40000")
     assert (code, out.count("VIOLATES")) == (0, 0)
-    monkeypatch.setattr(primes, "_DUSART", 1.2)
+    monkeypatch.setattr(primes, "_BOUNDS", _nudged("dusart", 1.2))
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "40000")
     assert code == 4
     assert out.splitlines()[0].endswith(" VIOLATES dusart bound")
@@ -319,10 +327,23 @@ def test_verify_prime_bounds_checks_dusart(capsys, monkeypatch):
 
 def test_verify_prime_bounds_checks_dusart_lower(capsys, monkeypatch):
     # A smaller constant lifts Dusart's 2010 lower bound past p_m.
-    monkeypatch.setattr(primes, "_DUSART_LOWER", -10.0)
+    monkeypatch.setattr(primes, "_BOUNDS", _nudged("dusart-lower", -10.0))
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "2000")
     assert code == 4
     assert out.splitlines()[0].endswith(" VIOLATES dusart-lower bound")
+    assert out.endswith(" FAILED\n")
+
+
+def test_verify_prime_bounds_checks_dusart_upper(capsys, monkeypatch):
+    # Dusart's 2010 upper bound holds from m = 688383, where a larger
+    # constant breaks it.  The clean run also sieves p_700000 into the shared
+    # table, so the nudged bound does not size the sieve.
+    code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "700000")
+    assert (code, out.count("VIOLATES")) == (0, 0)
+    monkeypatch.setattr(primes, "_BOUNDS", _nudged("dusart-upper", 2.1))
+    code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "700000")
+    assert code == 4
+    assert out.splitlines()[0] == "m=688383 p=10384261 VIOLATES dusart-upper bound"
     assert out.endswith(" FAILED\n")
 
 
@@ -414,24 +435,25 @@ def test_prime_stream_past_the_prefix_in_bounded_memory():
 
 
 def test_decode_of_a_semiprime_past_the_ceiling_is_a_range_error():
-    # 1811095800043 * 1811096800063: both factors lie past the 2^32 ceiling.
-    # Rho splits it in about a second; trial division toward its square
-    # root took minutes.
-    n = 3280069808065416197802709
+    # Both factors lie past the 2^32 ceiling: 1811095800043 * 1811096800063,
+    # and 1287836182261 * 2575672364521, the least strong pseudoprime to all
+    # twelve Miller-Rabin witnesses.  Rho splits each in about a second;
+    # trial division toward the square root took minutes.
     env = dict(os.environ)
     env.pop("MATULA_PRIME_BOUND", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "matula.cli", "decode", str(n)],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env=env,
-    )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == (
-        f"error: cofactor {n} of {n} has no prime factor below the ceiling "
-        "4294967296 and is not certifiably prime\n"
-    )
+    for n in [3280069808065416197802709, 3317044064679887385961981]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "matula.cli", "decode", str(n)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), n
+        assert proc.stderr == (
+            f"error: cofactor {n} of {n} has no prime factor below the ceiling "
+            "4294967296 and is not certifiably prime\n"
+        )
 
 
 def test_decode_of_a_prime_power_past_the_certification_bound(capsys):
@@ -454,6 +476,22 @@ def test_decode_of_a_probable_prime_past_the_certification_bound(capsys, monkeyp
     assert err == (
         f"error: cannot certify primality of {n} (beyond deterministic witness range)\n"
     )
+
+
+def test_verify_min_binary_past_the_sieved_prefix():
+    # From 95 leaves on, only Dusart's 2010 bounds order the best splits;
+    # without them the certificate asked for p_64474684537.
+    env = dict(os.environ)
+    env.pop("MATULA_PRIME_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "matula.cli", "verify", "min-binary", "--leaves", "300"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("leaves=300 ln_minimum=[") and proc.stdout.endswith(" ok\n")
 
 
 def test_last_prime_below_the_default_ceiling():

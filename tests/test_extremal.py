@@ -189,8 +189,11 @@ def test_extremal_tree_matches_the_scan(tree_class, largest, maximum):
         (TreeClass.ROOTED, 100, True, gi_max_tree),
         (TreeClass.BINARY, 64, False, min_binary_tree),
         (TreeClass.BINARY, 94, False, min_binary_tree),
+        (TreeClass.BINARY, 95, False, min_binary_tree),
+        (TreeClass.BINARY, 300, False, min_binary_tree),
     ],
-    ids=["caterpillar", "star", "gutman-ivic", "balanced-64", "balanced-94"],
+    ids=["caterpillar", "star", "gutman-ivic", "balanced-64", "balanced-94",
+         "balanced-95", "balanced-300"],
 )
 def test_extremal_tree_certifies_the_claims_past_the_ceiling(tree_class, n, maximum, claim):
     # Exact numbers are infeasible here (but for the star's); every

@@ -514,14 +514,62 @@ def test_factorize_splits_two_41_bit_primes():
     assert proc.stdout == f"[({_P41}, 1), ({_Q41}, 1)]\n"
 
 
+def _row_bounds(row, ms):
+    """The bound of ``row`` on p_m for each m of ms."""
+    ln_ms = [math.log(m) for m in ms]
+    factors = primes._factors(row, ln_ms, [math.log(x) for x in ln_ms])
+    return [m * f for m, f in zip(ms, factors)]
+
+
+def _holds(row, bound, p):
+    return bound < p if row.side == "lower" else p < bound
+
+
 def test_dusart_lower_bound_lies_below_p_m():
+    # Every row of the table at every m from its least m up to pi(2^24).
     table = list(PrimeOracle().primes_up_to_index(PI_2_24))
-    for m in range(3, PI_2_24 + 1):
-        assert primes._dusart_lower(m) < table[m - 1], m
+    for row in primes._BOUNDS:
+        ms = range(row.least, PI_2_24 + 1)
+        for m, bound in zip(ms, _row_bounds(row, ms)):
+            assert _holds(row, bound, table[m - 1]), (row.name, m)
     # Published: p_50847534 = 999999937, the last prime below 10^9, and
     # p_203280221 = 4294967291, the last below 2^32.
-    assert primes._dusart_lower(50_847_534) < 999_999_937
-    assert primes._dusart_lower(203_280_221) < 4_294_967_291
+    for m, p in [(50_847_534, 999_999_937), (203_280_221, 4_294_967_291)]:
+        for row in primes._BOUNDS:
+            assert _holds(row, _row_bounds(row, [m])[0], p), (row.name, m)
+
+
+# Published p_(10^k) for k = 6..12.
+_P_POWERS_OF_TEN = [
+    15_485_863,
+    179_424_673,
+    2_038_074_743,
+    22_801_763_489,
+    252_097_800_623,
+    2_760_727_302_517,
+    29_996_224_275_833,
+]
+
+
+def test_published_primes_lie_inside_the_tightest_bounds():
+    for k, p in enumerate(_P_POWERS_OF_TEN, start=6):
+        m = 10**k
+        bounds = {row.side: [] for row in primes._BOUNDS}
+        for row in primes._BOUNDS:
+            bounds[row.side] += _row_bounds(row, [m])
+        assert max(bounds["lower"]) < p < min(bounds["upper"]), k
+        lo, hi = primes._ln_prime_bounds(math.log(m), math.log(m))
+        assert lo < math.log(p) < hi, k
+        assert math.isclose(lo, math.log(max(bounds["lower"])), rel_tol=1e-14), k
+        assert math.isclose(hi, math.log(min(bounds["upper"])), rel_tol=1e-14), k
+
+
+def test_factorize_splits_the_least_strong_pseudoprime_to_every_witness():
+    # 3317044064679887385961981 passes all twelve witnesses yet is composite,
+    # so rho splits it, where a probable prime past it is refused.
+    p, q = 1_287_836_182_261, 2_575_672_364_521
+    assert p * q == primes._MR_CERTIFIED_BOUND
+    assert PrimeOracle(limit_value=2**42).factorize(p * q) == [(p, 1), (q, 1)]
 
 
 def test_shared_oracle_under_threads(monkeypatch):
