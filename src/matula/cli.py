@@ -16,7 +16,7 @@ import sys
 from contextlib import suppress
 from dataclasses import asdict
 from itertools import islice
-from math import log
+from math import isfinite, log
 from operator import gt, truediv
 
 from . import extremal, primes, treetext
@@ -269,6 +269,10 @@ def _verify_claim(args):
             value = {key: str(matula_number(found))}
     if value is None:
         lo, hi = ln_bounds(found)
+        if not isfinite(hi - lo):
+            # No proven bound holds this low: only the exact number can
+            # certify, and its refusal names the offending index.
+            matula_number(found)
         value = {f"ln_{key}": f"[{lo!r},{hi!r}]"}
     return _verdict(args, {
         flag: n,

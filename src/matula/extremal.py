@@ -32,7 +32,7 @@ from .primes import default_oracle
 from .trees import Tree, TreeClass, compare_matula, join, leaf
 
 # Largest size extremal_tree accepts.  Its tree work grows as n^3; at 300
-# the slowest claim, the star, takes about 5 s on a 2-CPU host.
+# the slowest claim, the star, takes 5 to 6 s in a fresh process on 2 CPUs.
 SIZE_CAP = 300
 
 
@@ -157,14 +157,16 @@ def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
     """The tree of the class and size with the largest (``maximum``) or the
     smallest Matula number; sizes count leaves, or vertices for rooted trees.
 
-    With best[s] the extremal tree of size s, level s is the best of
-    join(best[k], *forest[s - k]) over 1 <= k < s for topological trees,
-    join(*forest[s - 1]) for rooted trees, and join(best[a], best[s - a])
-    for binary trees.  forest[t] is the best multiset of trees of total size
-    t, compared as join(*forest[t]): an unbounded knapsack over best[],
-    found the same way.  Raises SizeTooLarge past ``SIZE_CAP``, and
-    IndexOutOfRange when two candidates' bounds overlap and their exact
-    numbers need a prime past the ceiling.
+    With best[s] the extremal tree of size s, level s is one scan over
+    best[]: a root over a branch best[k] and the best forest of the rest.
+    A rooted forest of t vertices is the children of a tree of t + 1
+    vertices, so the best is best[t + 1].children.  A topological forest of
+    t leaves is one tree or the children of a tree of t leaves.  As
+    M(join(T)) = p_{M(T)} > M(T), the best is (best[t],) for maxima, which
+    makes level s the split join(best[a], best[s - a]) as for binary trees,
+    and best[t].children for minima, or (best[1],) at t = 1.  Raises
+    SizeTooLarge past ``SIZE_CAP``, and IndexOutOfRange when two candidates'
+    bounds overlap and their exact numbers need a prime past the ceiling.
     """
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
@@ -180,23 +182,19 @@ def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
                 incumbent = rival
         return incumbent
 
-    # Each scan lists the claimed candidate first: topological levels start
-    # at k = 1 (caterpillar, star), forests at one tree for maxima (the
-    # Gutman-Ivic tree is a root over one branch) and at all leaves for
-    # minima, binary minima at the balanced split.
+    # Each scan lists the claimed candidate first: splits and topological
+    # minima start at k = 1 (caterpillar, star), rooted maxima at one branch
+    # (the Gutman-Ivic tree), binary minima at the balanced split.
     best = [None, leaf()]
-    forest = [()]
     for s in range(2, n + 1):
-        if tree_class is TreeClass.BINARY:
+        if tree_class is TreeClass.ROOTED:
+            parts = range(s - 1, 0, -1) if maximum else range(1, s)
+            best.append(best_of((best[k], *best[s - k].children) for k in parts))
+        elif tree_class is TreeClass.BINARY or maximum:
             first = (1, s - 1) if maximum else _balanced_split(s)
             splits = [first] + [(a, s - a) for a in range(1, s // 2 + 1) if a != first[0]]
             best.append(best_of((best[a], best[b]) for a, b in splits))
-            continue
-        t = s - 1
-        parts = range(t, 0, -1) if maximum else range(1, t + 1)
-        forest.append(best_of((best[k], *forest[t - k]) for k in parts).children)
-        if tree_class is TreeClass.ROOTED:
-            best.append(join(*forest[t]))
         else:
-            best.append(best_of((best[k], *forest[s - k]) for k in range(1, s)))
+            candidates = ((best[k], *(best[s - k].children or (best[1],))) for k in range(1, s))
+            best.append(best_of(candidates))
     return best[n]

@@ -492,10 +492,14 @@ class PrimeOracle:
         if m >= self._prefix_end or robin_lower(m) * (1 - _WIDEN) >= self._prefix_end:
             return None
         with self._lock:
-            # The tightest upper bound covers p_m; sieve at least a segment.
+            # The tightest upper bound sizes the sieve, by at least a segment;
+            # should the bound fall short, further segments follow.
             ln_m = log(max(m, 20))
             estimate = int(exp(_ln_prime_bounds(ln_m, ln_m)[1])) + 2
-            self._extend_to_value(max(estimate, self._sieved_to + _SEGMENT_SPAN))
+            target = max(estimate, self._sieved_to + _SEGMENT_SPAN)
+            while m > len(self._primes) and self._sieved_to < self._prefix_end:
+                self._extend_to_value(target)
+                target = self._sieved_to + _SEGMENT_SPAN
             if m <= len(self._primes):
                 return self._primes[m - 1]
         return None

@@ -5,16 +5,19 @@ the package code paths it verifies: a monolithic byte-per-integer sieve
 (the package uses odd-only segmented kernels), the Lucy_Hedgehog prime
 count (the package counts by Meissel's formula), all-pairs BFS for structural
 parameters (the package decomposes over edges), the classic two-case
-recursion for binary tree counts (the package loops over pairs), and an
-exhaustive scan that encodes every enumerated tree for the extremal trees
-(the package runs a dynamic program over branch sizes).
+recursion for binary tree counts (the package loops over pairs), and for
+the extremal trees an exhaustive scan that encodes every enumerated tree
+and a dynamic program that finds the best forest of every size by its own
+knapsack scan (the package reads every forest off the best trees).
 """
 
 from collections import deque, namedtuple
 from functools import lru_cache
 from math import isqrt
 
-from matula import encode, enumerate_trees
+from matula import TreeClass, encode, enumerate_trees
+from matula.extremal import _balanced_split
+from matula.trees import compare_matula, join, leaf
 
 # OEIS A000669: series-reduced planted trees by number of leaves.
 A000669 = [1, 1, 2, 5, 12, 33, 90, 261, 766, 2312, 7068, 21965]
@@ -180,3 +183,41 @@ def exhaustive_extremum(spec, maximum):
         if optimum is None or (m > optimum if maximum else m < optimum):
             optimum, witness = m, t
     return Scan(optimum, witness, examined)
+
+
+def knapsack_extremal(tree_class, n, maximum):
+    """The extremal tree of ``extremal_tree``, by a second dynamic program.
+
+    Besides best[s], the extremal tree of size s, it keeps forest[t], the
+    best multiset of trees of total size t, compared as join(*forest[t]):
+    an unbounded knapsack over best[], found the same way.  Level s is the
+    best of join(best[k], *forest[s - k]) over 1 <= k < s for topological
+    trees, join(*forest[s - 1]) for rooted trees, and join(best[a],
+    best[s - a]) for binary trees.
+    """
+    wanted = 1 if maximum else -1
+
+    def best_of(candidates):
+        incumbent = None
+        for branches in candidates:
+            rival = join(*branches)
+            if incumbent is None or compare_matula(rival, incumbent) == wanted:
+                incumbent = rival
+        return incumbent
+
+    best = [None, leaf()]
+    forest = [()]
+    for s in range(2, n + 1):
+        if tree_class is TreeClass.BINARY:
+            first = (1, s - 1) if maximum else _balanced_split(s)
+            splits = [first] + [(a, s - a) for a in range(1, s // 2 + 1) if a != first[0]]
+            best.append(best_of((best[a], best[b]) for a, b in splits))
+            continue
+        t = s - 1
+        parts = range(t, 0, -1) if maximum else range(1, t + 1)
+        forest.append(best_of((best[k], *forest[t - k]) for k in parts).children)
+        if tree_class is TreeClass.ROOTED:
+            best.append(join(*forest[t]))
+        else:
+            best.append(best_of((best[k], *forest[s - k]) for k in range(1, s)))
+    return best[n]

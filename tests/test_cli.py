@@ -265,6 +265,11 @@ def test_verify_prints_the_certified_interval_past_the_ceiling(capsys):
     assert lo < log(13766) < hi
 
 
+# Branch numbers 1 and 4 lie below m = 20, where no bound on p_m holds, so
+# only exact numbers can certify these, and p_4 = 7 lies past the ceiling.
+_UNBOUNDED = [(verb, c) for verb in ("min-binary", "max-topological") for c in ("2", "3", "5")]
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -276,9 +281,11 @@ def test_verify_prints_the_certified_interval_past_the_ceiling(capsys):
         # p_301 = 1993, past the ceiling.
         (["--prime-bound", "1000", "verify", "min-binary", "--leaves", "30"], 3,
          "offending index 301"),
+        *[(["--prime-bound", c, "verify", verb, "--leaves", "3"], 3, "offending index 4")
+          for verb, c in _UNBOUNDED],
     ],
     ids=["gi-max-4", "min-topological-1", "max-topological-0", "past-the-cap",
-         "min-binary-95"],
+         "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _UNBOUNDED)],
 )
 def test_verify_sizes_out_of_range(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)
@@ -309,38 +316,62 @@ def test_verify_prime_bounds(capsys):
     assert "failures=0" in out
 
 
-def _nudged(name, c):
-    """primes._BOUNDS with the constant of the row ``name`` set to c."""
-    return tuple(row._replace(c=c) if row.name == name else row for row in primes._BOUNDS)
+@pytest.fixture
+def nudge():
+    """``nudge(name, c)`` sets the constant of the ``primes._BOUNDS`` row
+    ``name`` to c until the test ends.  The memo of bounds on ln p_m is
+    cleared on entry and on exit, so no value computed under one table is
+    read under the other."""
+    primes._ln_prime_bounds.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+
+        def install(name, c):
+            rows = tuple(row._replace(c=c) if row.name == name else row for row in primes._BOUNDS)
+            patch.setattr(primes, "_BOUNDS", rows)
+            primes._ln_prime_bounds.cache_clear()
+
+        yield install
+    primes._ln_prime_bounds.cache_clear()
 
 
-def test_verify_prime_bounds_checks_dusart(capsys, monkeypatch):
+def test_verify_prime_bounds_checks_dusart(capsys, nudge):
     # Dusart's bound holds from m = 39017; a larger constant breaks it there.
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "40000")
     assert (code, out.count("VIOLATES")) == (0, 0)
-    monkeypatch.setattr(primes, "_BOUNDS", _nudged("dusart", 1.2))
+    nudge("dusart", 1.2)
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "40000")
     assert code == 4
     assert out.splitlines()[0].endswith(" VIOLATES dusart bound")
     assert "failures=0" not in out and out.endswith(" FAILED\n")
 
 
-def test_verify_prime_bounds_checks_dusart_lower(capsys, monkeypatch):
+def test_verify_prime_bounds_checks_dusart_lower(capsys, nudge):
     # A smaller constant lifts Dusart's 2010 lower bound past p_m.
-    monkeypatch.setattr(primes, "_BOUNDS", _nudged("dusart-lower", -10.0))
+    nudge("dusart-lower", -10.0)
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "2000")
     assert code == 4
     assert out.splitlines()[0].endswith(" VIOLATES dusart-lower bound")
     assert out.endswith(" FAILED\n")
 
 
-def test_verify_prime_bounds_checks_dusart_upper(capsys, monkeypatch):
+def test_verify_prime_bounds_checks_dusart_upper(capsys, nudge):
     # Dusart's 2010 upper bound holds from m = 688383, where a larger
     # constant breaks it.  The clean run also sieves p_700000 into the shared
     # table, so the nudged bound does not size the sieve.
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "700000")
     assert (code, out.count("VIOLATES")) == (0, 0)
-    monkeypatch.setattr(primes, "_BOUNDS", _nudged("dusart-upper", 2.1))
+    nudge("dusart-upper", 2.1)
+    code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "700000")
+    assert code == 4
+    assert out.splitlines()[0] == "m=688383 p=10384261 VIOLATES dusart-upper bound"
+    assert out.endswith(" FAILED\n")
+
+
+def test_verify_prime_bounds_sieves_past_an_undershooting_bound(capsys, nudge, ceiling):
+    # A fresh oracle sizes its sieve by the nudged bound, which falls short
+    # of p_m from m = 688383 on; the sieve grows on until it holds p_m.
+    ceiling()
+    nudge("dusart-upper", 2.1)
     code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "700000")
     assert code == 4
     assert out.splitlines()[0] == "m=688383 p=10384261 VIOLATES dusart-upper bound"

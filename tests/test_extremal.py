@@ -1,5 +1,6 @@
 import pytest
 
+from matula import extremal
 from matula import (
     BadSize,
     DomainError,
@@ -21,7 +22,7 @@ from matula import (
     star,
 )
 
-from oracles import exhaustive_extremum
+from oracles import exhaustive_extremum, knapsack_extremal
 
 L_VALUES = [1, 4, 14, 49, 301, 1589, 9761, 51529, 452411, 3041573, 23140153]
 
@@ -179,6 +180,63 @@ def test_extremal_tree_matches_the_scan(tree_class, largest, maximum):
     for n in range(1, largest + 1):
         report = exhaustive_extremum(EnumSpec(tree_class, kind, n), maximum)
         assert extremal_tree(tree_class, n, maximum) == report.witness, n
+
+
+_PAIRS = [(c, m) for c in TreeClass for m in (True, False)]
+_PAIR_IDS = [f"{c.value}-{'max' if m else 'min'}" for c, m in _PAIRS]
+
+
+@pytest.mark.parametrize("tree_class, maximum", _PAIRS, ids=_PAIR_IDS)
+def test_extremal_tree_matches_the_knapsack(tree_class, maximum):
+    for n in [*range(1, 41), 100]:
+        expected = knapsack_extremal(tree_class, n, maximum)
+        assert extremal_tree(tree_class, n, maximum) == expected, n
+
+
+@pytest.mark.parametrize("tree_class, maximum", _PAIRS, ids=_PAIR_IDS)
+def test_extremal_tree_matches_the_knapsack_under_a_low_ceiling(ceiling, tree_class, maximum):
+    # Past the ceiling both compare by bounds on ln M, and exact numbers
+    # decide overlapping bounds where they can.  Wherever the knapsack
+    # answers, the single scan answers the same.
+    ceiling(5000)
+    answered = 0
+    for n in range(1, 41):
+        try:
+            expected = knapsack_extremal(tree_class, n, maximum)
+        except IndexOutOfRange:
+            continue
+        assert extremal_tree(tree_class, n, maximum) == expected, n
+        answered += 1
+    assert answered > 1
+
+
+@pytest.mark.parametrize(
+    "tree_class, maximum, candidates",
+    [
+        (TreeClass.TOPOLOGICAL, False, 50 * 49 // 2),
+        (TreeClass.ROOTED, True, 50 * 49 // 2),
+        (TreeClass.ROOTED, False, 50 * 49 // 2),
+        (TreeClass.TOPOLOGICAL, True, sum(s // 2 for s in range(2, 51))),
+        (TreeClass.BINARY, True, sum(s // 2 for s in range(2, 51))),
+        (TreeClass.BINARY, False, sum(s // 2 for s in range(2, 51))),
+    ],
+    ids=["topological-min", "rooted-max", "rooted-min", "topological-max", "binary-max",
+         "binary-min"],
+)
+def test_extremal_tree_builds_one_candidate_per_branch_size(
+    monkeypatch, tree_class, maximum, candidates
+):
+    # One scan per level: every candidate is one join, n(n - 1)/2 of them
+    # when any branch size may come first and one per split otherwise.
+    built = []
+
+    def counted(*branches):
+        built.append(len(branches))
+        return join(*branches)
+
+    monkeypatch.setattr(extremal, "join", counted)
+    extremal_tree(tree_class, 50, maximum)
+    assert len(built) == candidates
 
 
 @pytest.mark.parametrize(
