@@ -10,18 +10,12 @@ result line is a single JSON object.
 """
 
 import argparse
-import json
 import signal
 import sys
-from contextlib import suppress
-from dataclasses import asdict
-from itertools import islice
-from math import isfinite, log
-from operator import gt, truediv
 
-from . import extremal, primes, treetext
-from .codec import decode, encode
-from .enumerator import EnumSpec, count_trees, enumerate_trees
+# Each command imports the layers it calls, so a fresh process loads only
+# those: a prime query never loads the tree layers.
+from . import primes
 from .errors import (
     BadSize,
     DomainError,
@@ -31,7 +25,6 @@ from .errors import (
     SizeTooLarge,
     ValueOutOfRange,
 )
-from .trees import TreeClass, binary_caterpillar, ln_bounds, matula_number, params, star
 
 _RANGE_ERRORS = (IndexOutOfRange, ValueOutOfRange, FactorOutOfRange, SizeTooLarge)
 
@@ -68,7 +61,7 @@ def _build_parser():
         "--class",
         dest="tree_class",
         required=True,
-        choices=[c.value for c in TreeClass],
+        choices=["rooted", "topological", "binary"],  # the TreeClass values
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--leaves", type=int)
@@ -116,6 +109,8 @@ def _build_parser():
 
 def _emit(args, obj, plain):
     if args.json:
+        import json
+
         print(json.dumps(obj, sort_keys=True))
     else:
         print(plain)
@@ -126,6 +121,9 @@ def _six_figures(x: float) -> str:
 
 
 def _cmd_encode(args):
+    from . import treetext
+    from .codec import encode
+
     if args.tree == "-":
         texts = [line.strip() for line in sys.stdin if line.strip()]
     else:
@@ -137,6 +135,9 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
+    from . import treetext
+    from .codec import decode
+
     t = decode(args.number)
     if args.dot:
         out = treetext.to_dot(t)
@@ -148,6 +149,10 @@ def _cmd_decode(args):
 
 
 def _cmd_params(args):
+    from . import treetext
+    from .codec import decode
+    from .trees import params
+
     raw = args.tree_or_number.strip()
     if raw.isdecimal():
         t = decode(int(raw))
@@ -160,11 +165,16 @@ def _cmd_params(args):
         f"outdegrees={','.join(map(str, p.outdegree_multiset))} "
         f"wiener={p.wiener}"
     )
-    _emit(args, asdict(p), plain)
+    _emit(args, p._asdict(), plain)
     return 0
 
 
 def _cmd_enumerate(args):
+    from . import treetext
+    from .codec import encode
+    from .enumerator import EnumSpec, count_trees, enumerate_trees
+    from .trees import TreeClass
+
     tree_class = TreeClass(args.tree_class)
     kind, other = ("leaves", "vertices") if args.leaves is not None else ("vertices", "leaves")
     if getattr(args, f"max_{other}") is not None:
@@ -186,6 +196,8 @@ def _cmd_enumerate(args):
 
 
 def _cmd_seq(args):
+    from . import extremal
+
     if args.which == "q":
         values = extremal.caterpillar_numbers(args.k_max)
     else:
@@ -208,6 +220,8 @@ def _cmd_primes(args):
 
 
 def _verify_lemma1(args):
+    from . import extremal
+
     ok = True
     for rec in extremal.check_caterpillar_inequality(args.k_max):
         ok = ok and rec.holds
@@ -237,24 +251,29 @@ def _verdict(args, fields, ok):
 
 
 def _topological_star(n):
+    from .trees import star
+
     if n < 2:
         raise BadSize(f"a topological star needs n >= 2 leaves, got {n}")
     return star(n)
 
 
-# verb -> (tree class, size flag, maximum?, the claimed extremal tree)
-_CLAIMS = {
-    "max-topological": (TreeClass.TOPOLOGICAL, "leaves", True, binary_caterpillar),
-    "min-topological": (TreeClass.TOPOLOGICAL, "leaves", False, _topological_star),
-    "gi-max": (TreeClass.ROOTED, "vertices", True, extremal.gi_max_tree),
-    "min-binary": (TreeClass.BINARY, "leaves", False, extremal.min_binary_tree),
-}
-
-
 def _verify_claim(args):
     """Certify the claimed tree by the branch-size dynamic program; print
     its exact number while that is feasible, else its bounds on ln M."""
-    tree_class, flag, maximum, claim = _CLAIMS[args.verb]
+    from contextlib import suppress
+    from math import isfinite, log
+
+    from . import extremal, treetext
+    from .trees import TreeClass, binary_caterpillar, ln_bounds, matula_number
+
+    # verb -> (tree class, size flag, maximum?, the claimed extremal tree)
+    tree_class, flag, maximum, claim = {
+        "max-topological": (TreeClass.TOPOLOGICAL, "leaves", True, binary_caterpillar),
+        "min-topological": (TreeClass.TOPOLOGICAL, "leaves", False, _topological_star),
+        "gi-max": (TreeClass.ROOTED, "vertices", True, extremal.gi_max_tree),
+        "min-binary": (TreeClass.BINARY, "leaves", False, extremal.min_binary_tree),
+    }[args.verb]
     n = getattr(args, flag)
     found = extremal.extremal_tree(tree_class, n, maximum)
     expected = claim(n)
@@ -291,6 +310,10 @@ def _violation(args, m, p, bound):
 
 
 def _verify_prime_bounds(args):
+    from itertools import islice
+    from math import log
+    from operator import gt, truediv
+
     m_max = args.max_m
     if m_max < 2:
         raise DomainError(f"--max-m must be >= 2, got {m_max}")
@@ -342,7 +365,9 @@ _COMMANDS = {
 _VERIFIERS = {
     "lemma1": _verify_lemma1,
     "prime-bounds": _verify_prime_bounds,
-    **dict.fromkeys(_CLAIMS, _verify_claim),
+    **dict.fromkeys(
+        ("max-topological", "min-topological", "gi-max", "min-binary"), _verify_claim
+    ),
 }
 
 

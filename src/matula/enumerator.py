@@ -22,7 +22,7 @@ independent, so callers wanting parallelism can safely split on them (trees
 are immutable values).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import DomainError, SizeTooLarge
@@ -42,13 +42,10 @@ _SIZE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(namedtuple("EnumSpec", "tree_class size_kind size")):
     """What to enumerate: a tree class, a size measure, and the size."""
 
-    tree_class: TreeClass
-    size_kind: str
-    size: int
+    __slots__ = ()
 
 
 def _validate(spec: EnumSpec, cap=None):

@@ -25,7 +25,7 @@ incumbent only, so a true claim is never held up by two rivals whose
 bounds overlap.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadSize, DomainError, IndexOutOfRange, SizeTooLarge
 from .primes import default_oracle
@@ -113,16 +113,10 @@ def gi_max_tree(n: int) -> Tree:
     return t
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(namedtuple("InequalityRecord", "k1 k2 lhs rhs holds equality")):
     """One verified instance of p_{q_k1} p_{q_k2} <= q_{k1+k2}."""
 
-    k1: int
-    k2: int
-    lhs: int
-    rhs: int
-    holds: bool
-    equality: bool
+    __slots__ = ()
 
 
 def check_caterpillar_inequality(k_max: int):

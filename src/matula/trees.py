@@ -15,7 +15,7 @@ which can raise IndexOutOfRange for astronomically deep inputs.  That
 failure is deliberate and loud.  No walk over a tree recurses.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cmp_to_key
 from math import inf, log, prod
@@ -226,20 +226,16 @@ def classify(t: Tree) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class TreeParams:
+class TreeParams(namedtuple(
+    "TreeParams", "vertices leaves height max_outdegree outdegree_multiset wiener"
+)):
     """Structural parameters of a rooted tree.
 
     ``outdegree_multiset`` is the sorted tuple of all vertex outdegrees and
     ``wiener`` the sum of distances over unordered vertex pairs.
     """
 
-    vertices: int
-    leaves: int
-    height: int
-    max_outdegree: int
-    outdegree_multiset: tuple
-    wiener: int
+    __slots__ = ()
 
 
 def params(t: Tree) -> TreeParams:

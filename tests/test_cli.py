@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import cli, extremal, primes
+from matula import TreeClass, cli, extremal, primes
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +84,10 @@ def test_params_json(capsys):
     assert record["vertices"] == 7
     assert record["leaves"] == 4
     assert record["wiener"] == 46
+    assert out == (
+        '{"height": 2, "leaves": 4, "max_outdegree": 3, '
+        '"outdegree_multiset": [0, 0, 0, 0, 1, 2, 3], "vertices": 7, "wiener": 46}\n'
+    )
 
 
 def test_enumerate_lines(capsys):
@@ -407,6 +412,66 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "42\n"
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.run(list(argv))
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command(capsys):
+    commands = "encode,decode,params,enumerate,seq,primes,verify"
+    verbs = "lemma1,max-topological,min-topological,min-binary,gi-max,prime-bounds"
+    assert f"{{{commands}}}" in _help(capsys, "--help")
+    assert f"{{{verbs}}}" in _help(capsys, "verify", "--help")
+    assert [*cli._COMMANDS, "verify"] == commands.split(",")
+    assert sorted(cli._VERIFIERS) == sorted(verbs.split(","))
+
+
+def test_class_choices_are_the_tree_classes(capsys):
+    choices = ",".join(c.value for c in TreeClass)
+    assert f"--class {{{choices}}}" in _help(capsys, "enumerate", "--help")
+
+
+# Imports the package, then runs two commands in process, and prints after
+# each step which package modules, and which of json and dataclasses, are
+# loaded.  The probe imports nothing else, so what it sees is the package's.
+_COLD_PROBE = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] in ("matula", "json", "dataclasses"))
+
+import matula
+steps = [loaded()]
+from matula.cli import run
+for argv in (["primes", "nth", "10"], ["encode", "(*,*)"]):
+    run(argv)
+    steps.append(loaded())
+print(steps)
+"""
+
+
+def test_a_cold_process_loads_only_the_layers_its_command_uses():
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *printed, steps = proc.stdout.splitlines()
+    assert printed == ["29", "4"]
+    imported, prime_query, encoded = ast.literal_eval(steps)
+    assert imported == ["matula"]
+    assert prime_query == [
+        "matula", "matula._sieve_py", "matula.cli", "matula.errors", "matula.primes",
+    ]
+    assert {"matula.codec", "matula.treetext", "matula.trees"} <= set(encoded)
+    assert not {"matula.enumerator", "matula.extremal"} & set(encoded)
 
 
 # Runs argv[1:] and reports its exit code and peak RSS (KiB) from wait4 as
