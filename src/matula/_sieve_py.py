@@ -30,12 +30,13 @@ def simple_sieve(limit):
 def sieve_segment(lo, hi, base_primes):
     """Primes in [lo, hi) as an array('Q').
 
-    Contract: ``lo`` is odd and >= 3, ``hi > lo``, and ``base_primes``
-    contains every prime <= isqrt(hi - 1).  Only odd candidates are
-    represented internally.
+    Contract: ``lo`` >= 3, ``hi > lo``, and ``base_primes`` contains every
+    prime <= isqrt(hi - 1).  Only odd candidates are represented, so an even
+    ``lo``, never prime, is rounded up to odd.
     """
-    if lo < 3 or lo % 2 == 0:
-        raise ValueError(f"segment must start at an odd value >= 3, got {lo}")
+    if lo < 3:
+        raise ValueError(f"segment must start at a value >= 3, got {lo}")
+    lo |= 1
     n = (hi - lo + 1) // 2
     flags = bytearray(b"\x01") * n
     for p in base_primes:

@@ -39,7 +39,8 @@ def _build_parser():
         type=int,
         default=None,
         metavar="N",
-        help="prime value ceiling (default: MATULA_PRIME_BOUND or 2^32)",
+        help="prime value ceiling in [2, 2^48], the square of the sieved "
+        "prefix's end (default: MATULA_PRIME_BOUND or 2^32)",
     )
     parser.add_argument(
         "--json", action="store_true", help="one JSON object per result line"

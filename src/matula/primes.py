@@ -2,14 +2,17 @@
 
 The oracle answers nth-prime, prime-index, prime-counting and factorization
 queries for values below a configurable ceiling (``MATULA_PRIME_BOUND``
-environment variable, default 2^32).  A query that would need a prime beyond
-the ceiling raises rather than thrashes, because callers (tree encoders in
-particular) must be able to tell infeasible inputs apart from slow ones.
+environment variable, default 2^32, at most 2^48).  A query that would need
+a prime beyond the ceiling raises rather than thrashes, because callers
+(tree encoders in particular) must be able to tell infeasible inputs apart
+from slow ones.
 
 Values up to 2^24 are answered from a table of primes that grows on demand,
 sieved in segments by the pure-Python kernel in ``_sieve_py``.  The table is
 a cache of that prefix and never grows past it (about 1.08 M primes, 8.6 MB).
-Past the prefix no table is kept:
+The ceiling is at most the square of the prefix's end, so the table holds
+every prime up to the square root of the ceiling: every window past the
+prefix is sieved by the table's primes.  Past the prefix no table is kept:
 
 * pi(x) is counted by Meissel's formula, which reads pi only up to x^(2/3)
   and so, under every ceiling up to 2^36, only from the prefix; the prefix
@@ -48,9 +51,6 @@ from .errors import (
 ENV_PRIME_BOUND = "MATULA_PRIME_BOUND"
 DEFAULT_PRIME_BOUND = 2**32
 
-# Ceiling above which array('Q') storage and p*p arithmetic are not validated.
-_HARD_VALUE_CAP = 2**52
-
 # Bootstrap sieve size; covers sqrt of every value the prefix holds, so
 # segment marking never needs base primes it does not already have.  Its
 # primes are also factorize's trial divisors.
@@ -59,9 +59,12 @@ _BOOTSTRAP = 1 << 16
 # The sieved table caches the primes up to this value and never grows past
 # it: at most 1,077,871 primes (8.6 MB).  That covers every prime a tree
 # codec needs while its prime indices stay below 10^6 (p_1000000 = 15485863).
+# The ceiling is at most its square, 2^48, so the table always holds every
+# prime up to the square root of the ceiling: the base primes of every window
+# past the prefix and pi(sqrt x) for every count.
 _PREFIX_CAP = 1 << 24
 
-# Values per lazy extension step (even, so segment bounds stay odd-aligned).
+# Values per lazy extension step.
 _SEGMENT_SPAN = 1 << 23
 
 # Values per window when walking up from the lower bound to an nth prime
@@ -331,8 +334,9 @@ class PrimeOracle:
                 limit_value = DEFAULT_PRIME_BOUND if given is None else int(given)
             except ValueError:
                 limit_value = 0  # not an integer: refused below
-        if not 2 <= limit_value <= _HARD_VALUE_CAP:
-            raise ValueError(f"{name} must be in [2, {_HARD_VALUE_CAP}], got {given!r}")
+        cap = _PREFIX_CAP**2  # so every base prime lies in the table
+        if not 2 <= limit_value <= cap:
+            raise ValueError(f"{name} must be in [2, {cap}], got {given!r}")
         self._limit_value = int(limit_value)
         self._lock = threading.RLock()
         bootstrap = min(_BOOTSTRAP, self._limit_value)
@@ -356,18 +360,8 @@ class PrimeOracle:
     # -- the sieved prefix -------------------------------------------------
 
     def _extend_to_value(self, target):
-        """Sieve every value < target into the table (clamped to the prefix).
-
-        Segment lower bounds must stay odd (the kernel represents odd
-        candidates only), so non-terminal extension boundaries are rounded
-        up to odd; the one allowed even boundary is the end of the prefix,
-        after which no further extension can happen.
-        """
+        """Sieve every value < target into the table (clamped to the prefix)."""
         target = min(target, self._prefix_end)
-        if target <= self._sieved_to:
-            return
-        if target % 2 == 0 and target < self._prefix_end:
-            target += 1
         while self._sieved_to < target:
             lo = self._sieved_to
             hi = min(lo + _SEGMENT_SPAN, target)
@@ -377,13 +371,10 @@ class PrimeOracle:
     # -- past the prefix ---------------------------------------------------
 
     def _window(self, lo, hi):
-        """The primes in [lo, hi) for 2 < lo < hi, sieved without caching
-        them."""
-        root = isqrt(hi - 1)
-        self._extend_to_value(root + 1)
-        base = self._primes if root < self._sieved_to else _sieve_py.simple_sieve(root)
-        # lo > 2, so an even lo is no prime and may be skipped.
-        return _sieve_py.sieve_segment(lo | 1, hi, base)
+        """The primes in [lo, hi) for 2 < lo < hi <= ceiling + 1, sieved
+        without caching them."""
+        self._extend_to_value(isqrt(hi - 1) + 1)
+        return _sieve_py.sieve_segment(lo, hi, self._primes)
 
     def _windows(self, lo, end, span):
         """(hi, the primes in [lo, hi)) for consecutive windows of ``span``
@@ -401,34 +392,22 @@ class PrimeOracle:
 
             pi(x) = phi(x, a) + a - 1 - sum_{a < i <= b} (pi(x // p_i) - i + 1)
 
-        with a = pi(x^(1/3)) and b = pi(sqrt x).  Every pi read comes from
-        the table while x^(2/3) lies in the prefix, that is up to 2^36; past
-        that, the terms x // p_i past the prefix are counted by one ascending
-        walk of sieved windows (``_pi_walk``) and phi expands every node whose
-        count would lie past the table.
+        with a = pi(x^(1/3)) and b = pi(sqrt x), both read from the table.
+        Every pi read comes from the table while x^(2/3) lies in the prefix,
+        that is up to 2^36; past that, the terms x // p_i past the prefix are
+        counted by one ascending walk of sieved windows (``_pi_walk``) and
+        phi expands every node whose count would lie past the table.
         """
         self._extend_to_value(_icbrt(x * x) + 1)
         table = self._primes
-        root = isqrt(x)
         a = bisect_right(table, _icbrt(x))
-        b = bisect_right(table, root) if root < self._sieved_to else self.prime_count(root)
+        b = bisect_right(table, isqrt(x))
         # x // p lies past the table exactly when p <= x // end.
         end = self._sieved_to
-        cut = min(x // end, root)
-        j = max(a, bisect_right(table, cut))
+        j = max(a, bisect_right(table, x // end))
         near = sum([bisect_right(table, x // p) for p in islice(table, j, b)])
-        far = sum(self._pi_walk(x // p for p in self._primes_down(table[a - 1], cut)))
+        far = sum(self._pi_walk(x // p for p in reversed(table[a:j])))
         return _phi(x, a, table, end) + a - 1 - near - far + (b * (b - 1) - a * (a - 1)) // 2
-
-    def _primes_down(self, lo, hi):
-        """The primes in (lo, hi] in descending order: windows past the
-        table, then the table."""
-        while hi >= self._sieved_to:
-            bottom = max(lo, hi - _SEGMENT_SPAN, self._sieved_to - 1)
-            yield from reversed(self._window(bottom + 1, hi + 1))
-            hi = bottom
-        table = self._primes
-        yield from reversed(table[bisect_right(table, lo) : bisect_right(table, hi)])
 
     def _pi_walk(self, values):
         """pi(v) for each v of an ascending iterable of values past the table,
@@ -484,19 +463,21 @@ class PrimeOracle:
 
     def _prefix_prime(self, m):
         """p_m (m >= 1) when it lies in the sieved prefix, else None; grows
-        the table unless m itself or Robin's bound already lies past the
-        prefix's end (p_m exceeds both)."""
+        the table unless m itself or the tightest lower bound on p_m already
+        lies past the prefix's end (p_m exceeds both)."""
         # The table only grows and each read of it is atomic: no lock needed.
         if m <= len(self._primes):
             return self._primes[m - 1]
-        if m >= self._prefix_end or robin_lower(m) * (1 - _WIDEN) >= self._prefix_end:
+        if m >= self._prefix_end:
+            return None
+        # No bounds below m = 20: no gate, and segments size the sieve.
+        lower, upper = _ln_prime_bounds(log(m), log(m)) or (-inf, -inf)
+        if exp(lower) * (1 - _WIDEN) >= self._prefix_end:
             return None
         with self._lock:
             # The tightest upper bound sizes the sieve, by at least a segment;
             # should the bound fall short, further segments follow.
-            ln_m = log(max(m, 20))
-            estimate = int(exp(_ln_prime_bounds(ln_m, ln_m)[1])) + 2
-            target = max(estimate, self._sieved_to + _SEGMENT_SPAN)
+            target = max(int(exp(upper)) + 2, self._sieved_to + _SEGMENT_SPAN)
             while m > len(self._primes) and self._sieved_to < self._prefix_end:
                 self._extend_to_value(target)
                 target = self._sieved_to + _SEGMENT_SPAN
@@ -644,8 +625,8 @@ class PrimeOracle:
             stack += (d, c // d)
         if past > 1:
             raise FactorOutOfRange(
-                f"cofactor {above} of {n} has no prime factor below the "
-                f"ceiling {self._limit_value} and is not certifiably prime",
+                f"cofactor {above} of {n} has {past} prime factors past the "
+                f"ceiling {self._limit_value}",
                 value=n,
                 cofactor=above,
             )

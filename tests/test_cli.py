@@ -159,13 +159,13 @@ def test_enumerate_cap_flag_must_match_the_size_flag(capsys, argv, flag):
 
 def test_prime_bound_flag_validation(capsys):
     # Named like a bad MATULA_PRIME_BOUND: the flag, not the library's argument.
-    for value in ["1", "99999999999999999999"]:
+    for value in ["1", "281474976710657", "99999999999999999999"]:
         code, out, err = run_cli(capsys, "--prime-bound", value, "primes", "nth", "1")
         assert (code, out) == (2, "")
-        assert err == f"error: --prime-bound must be in [2, {2**52}], got {value}\n"
+        assert err == f"error: --prime-bound must be in [2, {2**48}], got {value}\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "1", "99999999999999999999"])
+@pytest.mark.parametrize("value", ["abc", "1", "281474976710657", "99999999999999999999"])
 def test_bad_prime_bound_variable_is_a_usage_error(value):
     env = dict(os.environ, MATULA_PRIME_BOUND=value)
 
@@ -177,7 +177,7 @@ def test_bad_prime_bound_variable_is_a_usage_error(value):
 
     proc = matula("primes", "nth", "5")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: MATULA_PRIME_BOUND must be in [2, {2**52}], got {value!r}\n"
+    assert proc.stderr == f"error: MATULA_PRIME_BOUND must be in [2, {2**48}], got {value!r}\n"
     # An explicit ceiling does not read the variable.
     proc = matula("--prime-bound", "100", "primes", "nth", "5")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "11\n", "")
@@ -534,21 +534,23 @@ def test_decode_of_a_semiprime_past_the_ceiling_is_a_range_error():
     # Both factors lie past the 2^32 ceiling: 1811095800043 * 1811096800063,
     # and 1287836182261 * 2575672364521, the least strong pseudoprime to all
     # twelve Miller-Rabin witnesses.  Rho splits each in about a second;
-    # trial division toward the square root took minutes.
-    env = dict(os.environ)
-    env.pop("MATULA_PRIME_BOUND", None)
-    for n in [3280069808065416197802709, 3317044064679887385961981]:
+    # trial division toward the square root took minutes.  Past a ceiling of
+    # 100, 101 * 103 and 101^3 are split at once.
+    for n, past, ceiling in [
+        (3280069808065416197802709, 2, 2**32),
+        (3317044064679887385961981, 2, 2**32),
+        (101 * 103, 2, 100),
+        (101**3, 3, 100),
+    ]:
         proc = subprocess.run(
-            [sys.executable, "-m", "matula.cli", "decode", str(n)],
+            [sys.executable, "-m", "matula.cli", "--prime-bound", str(ceiling), "decode", str(n)],
             capture_output=True,
             text=True,
             timeout=30,
-            env=env,
         )
         assert (proc.returncode, proc.stdout) == (3, ""), n
         assert proc.stderr == (
-            f"error: cofactor {n} of {n} has no prime factor below the ceiling "
-            "4294967296 and is not certifiably prime\n"
+            f"error: cofactor {n} of {n} has {past} prime factors past the ceiling {ceiling}\n"
         )
 
 

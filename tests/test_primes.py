@@ -182,6 +182,11 @@ def test_constructor_validation():
         PrimeOracle(limit_value=1)
     with pytest.raises(ValueError):
         PrimeOracle(limit_value=2**60)
+    # The ceiling is at most the square of the sieved prefix's end.
+    with pytest.raises(ValueError) as err:
+        PrimeOracle(limit_value=2**48 + 1)
+    assert str(err.value) == f"limit_value must be in [2, {2**48}], got {2**48 + 1}"
+    assert PrimeOracle(limit_value=2**48).limit_value == 2**48
 
 
 def test_segment_matches_monolithic_sieve():
@@ -191,10 +196,14 @@ def test_segment_matches_monolithic_sieve():
     assert list(_sieve_py.sieve_segment(65537, 200_001, base)) == expected
 
 
-def test_segment_rejects_even_start():
+def test_segment_rounds_an_even_start_up_to_odd():
     base = _sieve_py.simple_sieve(1000)
+    for lo in (4, 65538, 69998):
+        expected = _sieve_py.sieve_segment(lo + 1, 70000, base)
+        assert _sieve_py.sieve_segment(lo, 70000, base) == expected, lo
+    assert list(_sieve_py.sieve_segment(4, 5, base)) == []
     with pytest.raises(ValueError):
-        _sieve_py.sieve_segment(65538, 70000, base)
+        _sieve_py.sieve_segment(2, 70000, base)
 
 
 def test_extension_alignment_is_history_independent():
@@ -299,18 +308,23 @@ def test_pi_published_values():
 def test_counts_past_a_small_prefix(big_sieve, monkeypatch, cap, bootstrap):
     # With the prefix cut to 2^16, x^(2/3) lies past it from x = 2^24 on, so
     # the sum's terms past the prefix come from the counting walk.  Cut to
-    # 2^12, phi also expands nodes whose pi would lie past the table (from
-    # x = 23 * 2^18 on), and the primes up to sqrt x come from windows.
+    # 2^12, the ceiling is at most 2^24, and phi also expands nodes whose pi
+    # would lie past the table from x = 23 * 2^18 on.
     monkeypatch.setattr(primes, "_PREFIX_CAP", cap)
     monkeypatch.setattr(primes, "_BOOTSTRAP", bootstrap)
-    oracle = PrimeOracle()
+    with pytest.raises(ValueError):
+        PrimeOracle(limit_value=cap * cap + 1)
+    top = min(cap * cap, 2 * 10**8)
+    oracle = PrimeOracle(limit_value=top)
     rng = random.Random(19)
-    for x in [10**7, 2**24 + 1] + [rng.randrange(10**7, 2 * 10**8) for _ in range(4)]:
+    low = 23 * top // 64  # 23 * 2^18 under the 2^12 prefix
+    for x in [10**7, 2**24 - 1, min(2**24 + 1, top)] + [rng.randrange(low, top) for _ in range(4)]:
         assert oracle.prime_count(x) == big_sieve.count(x), x
-    for m in [big_sieve.count(cap) + 1, 10**6] + [rng.randrange(10**6, 11_078_937) for _ in range(3)]:
+    last = big_sieve.count(top)
+    for m in [big_sieve.count(cap) + 1, 10**6, last] + [rng.randrange(10**6, last) for _ in range(3)]:
         p = big_sieve.nth(m)
         assert oracle.nth_prime(m) == p, m
-        assert PrimeOracle().prime_index(p) == m, m
+        assert PrimeOracle(limit_value=top).prime_index(p) == m, m
     assert f"cached={big_sieve.count(cap)})" in repr(oracle)
 
 
@@ -359,6 +373,17 @@ def test_index_out_of_range_just_past_pi_of_ceiling(big_sieve, pi_counts):
         oracle.nth_prime(last + 1)
     assert err.value.index == last + 1
     assert err.value.limit_value == 2 * 10**8
+
+
+def test_window_at_the_top_of_the_range_reads_its_base_primes_from_the_table():
+    # The window [2^48 - 2^17, 2^48] needs every prime up to 2^24, the
+    # prefix's end: all of them come from the table.
+    lo, hi = 2**48 - 2**17, 2**48 + 1
+    oracle = PrimeOracle(limit_value=2**48)
+    found = oracle._window(lo, hi)
+    assert f"sieved_to={2**24 + 1}," in repr(oracle)
+    assert list(found) == [n for n in range(lo + 1, hi, 2) if is_prime_certified(n)]
+    assert len(found) == 3928
 
 
 def test_prefix_stays_capped():
@@ -505,7 +530,7 @@ def test_factorize_splits_two_41_bit_primes():
     # division would walk toward 1.8 * 10^12 instead of failing.
     code = (
         "from matula import PrimeOracle; "
-        f"print(PrimeOracle(limit_value=2**52).factorize({_P41} * {_Q41}))"
+        f"print(PrimeOracle(limit_value=2**48).factorize({_P41} * {_Q41}))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
