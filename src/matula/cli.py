@@ -3,15 +3,18 @@
 One binary, deterministic output.  Results go to stdout, errors to stderr.
 Exit codes: 0 success, 2 usage or malformed input, 3 range/infeasibility
 (the offending prime index is printed), 4 a verification claim failed (the
-CI tripwire).  Matula numbers and primes are always printed as decimal
-strings; only the two analytic bound formulas print floats, at 6 significant
-figures, and the certified bounds on ln M, with repr.  With --json every
-result line is a single JSON object.
+CI tripwire).  Matula numbers and primes are printed as decimal strings.  A
+number past the ceiling (an extremal claim's, a Lemma 1 side or a sequence
+value) prints as its certified bounds on ln M, ln_<key>=[lo,hi] with repr;
+only the two analytic bound formulas print other floats, at 6 significant
+figures.  With --json every result line is a single JSON object.
 """
 
 import argparse
 import signal
 import sys
+from contextlib import suppress
+from math import isfinite, log
 
 # Each command imports the layers it calls, so a fresh process loads only
 # those: a prime query never loads the tree layers.
@@ -198,13 +201,13 @@ def _cmd_enumerate(args):
 
 def _cmd_seq(args):
     from . import extremal
+    from .trees import binary_caterpillar
 
-    if args.which == "q":
-        values = extremal.caterpillar_numbers(args.k_max)
-    else:
-        values = extremal.min_binary_numbers(args.k_max)
+    extremal._check_size(args.k_max)
+    tree_of = binary_caterpillar if args.which == "q" else extremal.min_binary_tree
+    values = [_value("value", tree_of(k)) for k in range(1, args.k_max + 1)]
     for k, value in enumerate(values, start=1):
-        _emit(args, {"k": k, "value": str(value)}, f"{k}\t{value}")
+        _emit(args, {"k": k, **value}, f"{k}\t{_bare(value)}")
     return 0
 
 
@@ -223,24 +226,44 @@ def _cmd_primes(args):
 def _verify_lemma1(args):
     from . import extremal
 
-    ok = True
-    for rec in extremal.check_caterpillar_inequality(args.k_max):
-        ok = ok and rec.holds
+    rows = [(rec, _value("lhs", rec.lhs), _value("rhs", rec.rhs))
+            for rec in extremal.check_caterpillar_inequality(args.k_max)]
+    for rec, lhs, rhs in rows:
         status = "holds" if rec.holds else "VIOLATED"
         suffix = " (equality)" if rec.equality else ""
         _emit(
             args,
-            {
-                "k1": rec.k1,
-                "k2": rec.k2,
-                "lhs": str(rec.lhs),
-                "rhs": str(rec.rhs),
-                "holds": rec.holds,
-                "equality": rec.equality,
-            },
-            f"({rec.k1},{rec.k2}) {rec.lhs} <= {rec.rhs} {status}{suffix}",
+            {"k1": rec.k1, "k2": rec.k2, **lhs, **rhs,
+             "holds": rec.holds, "equality": rec.equality},
+            f"({rec.k1},{rec.k2}) {_bare(lhs)} <= {_bare(rhs)} {status}{suffix}",
         )
-    return 0 if ok else 4
+    return 0 if all(rec.holds for rec, _, _ in rows) else 4
+
+
+def _value(key, tree):
+    """{key: M(tree)} while the exact number is feasible under the ceiling,
+    else {ln_key: its certified bounds on ln M, printed with repr}."""
+    from .trees import ln_bounds, matula_number
+
+    # p_m > m, so a root branch whose number exceeds the ceiling dooms the
+    # exact number: skip it rather than compute far primes only to be
+    # refused.  The margin covers rounding in log().
+    ln_ceiling = log(primes.default_oracle().limit_value) * (1 + primes._WIDEN)
+    if all(ln_bounds(branch)[0] <= ln_ceiling for branch in tree.children):
+        with suppress(IndexOutOfRange):
+            return {key: str(matula_number(tree))}
+    lo, hi = ln_bounds(tree)
+    if not isfinite(hi - lo):
+        # No proven bound holds this low: only the exact number can
+        # certify, and its refusal names the offending index.
+        matula_number(tree)
+    return {f"ln_{key}": f"[{lo!r},{hi!r}]"}
+
+
+def _bare(value):
+    """The plain text of one ``_value``: the number alone, or ln_key=[lo,hi]."""
+    ((key, text),) = value.items()
+    return f"{key}={text}" if key.startswith("ln_") else text
 
 
 def _verdict(args, fields, ok):
@@ -262,11 +285,8 @@ def _topological_star(n):
 def _verify_claim(args):
     """Certify the claimed tree by the branch-size dynamic program; print
     its exact number while that is feasible, else its bounds on ln M."""
-    from contextlib import suppress
-    from math import isfinite, log
-
     from . import extremal, treetext
-    from .trees import TreeClass, binary_caterpillar, ln_bounds, matula_number
+    from .trees import TreeClass, binary_caterpillar
 
     # verb -> (tree class, size flag, maximum?, the claimed extremal tree)
     tree_class, flag, maximum, claim = {
@@ -278,25 +298,9 @@ def _verify_claim(args):
     n = getattr(args, flag)
     found = extremal.extremal_tree(tree_class, n, maximum)
     expected = claim(n)
-    key = "maximum" if maximum else "minimum"
-    value = None
-    # p_m > m, so a root branch whose number exceeds the ceiling dooms the
-    # exact number: skip it rather than compute far primes only to be
-    # refused.  The margin covers rounding in log().
-    ln_ceiling = log(primes.default_oracle().limit_value) * (1 + primes._WIDEN)
-    if all(ln_bounds(branch)[0] <= ln_ceiling for branch in found.children):
-        with suppress(IndexOutOfRange):
-            value = {key: str(matula_number(found))}
-    if value is None:
-        lo, hi = ln_bounds(found)
-        if not isfinite(hi - lo):
-            # No proven bound holds this low: only the exact number can
-            # certify, and its refusal names the offending index.
-            matula_number(found)
-        value = {f"ln_{key}": f"[{lo!r},{hi!r}]"}
     return _verdict(args, {
         flag: n,
-        **value,
+        **_value("maximum" if maximum else "minimum", found),
         "witness": treetext.serialize(found),
     }, found == expected)
 
@@ -312,7 +316,6 @@ def _violation(args, m, p, bound):
 
 def _verify_prime_bounds(args):
     from itertools import islice
-    from math import log
     from operator import gt, truediv
 
     m_max = args.max_m

@@ -1,12 +1,14 @@
 """Extremal constructions, their number sequences, and one certificate for
 the extremal claims.
 
-Two families of extremal binary trees drive everything here:
+Two families of extremal binary trees drive everything here, and each
+number sequence is read off its trees by ``matula_number``:
 
-* the binary caterpillar, whose Matula numbers q satisfy q_1 = 1 and
+* the binary caterpillar C_k, whose Matula numbers q satisfy q_1 = 1 and
   q_k = 2 p_{q_{k-1}}; it is the unique maximum over topological trees
   with a given leaf count, and ``check_caterpillar_inequality`` verifies
-  the product inequality p_{q_a} p_{q_b} <= q_{a+b} instance by instance;
+  the product inequality p_{q_a} p_{q_b} <= q_{a+b} instance by instance
+  as the tree comparison M(join(C_a, C_b)) <= M(C_{a+b});
 * the balanced power-of-two construction ``min_binary_tree``, whose numbers
   l satisfy l_1 = 1 and, writing k = r + 2^{s+1} with 0 <= r < 2^{s+1},
   l_k = p_{l_{2^s}} p_{l_{r+2^s}} when r <= 2^s and p_{l_r} p_{l_{2^{s+1}}}
@@ -28,11 +30,11 @@ bounds overlap.
 from collections import namedtuple
 
 from .errors import BadSize, DomainError, IndexOutOfRange, SizeTooLarge
-from .primes import default_oracle
-from .trees import Tree, TreeClass, compare_matula, join, leaf
+from .trees import Tree, TreeClass, binary_caterpillar, compare_matula, join, leaf, matula_number
 
-# Largest size extremal_tree accepts.  Its tree work grows as n^3; at 300
-# the slowest claim, the star, takes 5 to 6 s in a fresh process on 2 CPUs.
+# Largest size of the certificate, the sequences and the inequality.  At
+# 300 the slowest, the star claim (tree work grows as n^3), takes 5 to 6 s
+# in a fresh process on 2 CPUs, and Lemma 1's 22500 instances about 1.3 s.
 SIZE_CAP = 300
 
 
@@ -40,35 +42,35 @@ def caterpillar_numbers(k_max: int):
     """[q_1 .. q_k_max]: Matula numbers of the binary caterpillars.
 
     Raises IndexOutOfRange (with attribute ``k`` set to the first infeasible
-    index) once the recursion needs a prime beyond the oracle ceiling.
+    index) once a number needs a prime beyond the oracle ceiling.
     """
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
-    oracle = default_oracle()
-    values = [1]
-    for k in range(2, k_max + 1):
+    return _numbers(binary_caterpillar, k_max)
+
+
+def min_binary_numbers(k_max: int):
+    """[l_1 .. l_k_max]: Matula numbers of the balanced minimal binary trees."""
+    return _numbers(min_binary_tree, k_max)
+
+
+def _numbers(tree_of, k_max):
+    """[M(tree_of(1)) .. M(tree_of(k_max))], each read off its tree."""
+    _check_size(k_max)
+    values = []
+    for k in range(1, k_max + 1):
         try:
-            values.append(2 * oracle.nth_prime(values[-1]))
+            values.append(matula_number(tree_of(k)))
         except IndexOutOfRange as exc:
             exc.k = k
             raise
     return values
 
 
-def min_binary_numbers(k_max: int):
-    """[l_1 .. l_k_max]: Matula numbers of the balanced minimal binary trees."""
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
-    oracle = default_oracle()
-    values = [None, 1]
-    for k in range(2, k_max + 1):
-        a, b = _balanced_split(k)
-        try:
-            values.append(oracle.nth_prime(values[a]) * oracle.nth_prime(values[b]))
-        except IndexOutOfRange as exc:
-            exc.k = k
-            raise
-    return values[1:]
+def _check_size(n, least=1):
+    """Refuse a size below ``least`` or past ``SIZE_CAP``."""
+    if n < least:
+        raise DomainError(f"size must be >= {least}, got {n}")
+    if n > SIZE_CAP:
+        raise SizeTooLarge(f"extremal size {n} exceeds cap {SIZE_CAP}", size=n, cap=SIZE_CAP)
 
 
 def _balanced_split(k):
@@ -114,7 +116,8 @@ def gi_max_tree(n: int) -> Tree:
 
 
 class InequalityRecord(namedtuple("InequalityRecord", "k1 k2 lhs rhs holds equality")):
-    """One verified instance of p_{q_k1} p_{q_k2} <= q_{k1+k2}."""
+    """One verified instance of p_{q_k1} p_{q_k2} <= q_{k1+k2}: ``lhs`` is
+    the tree join(C_k1, C_k2) and ``rhs`` the caterpillar C_{k1+k2}."""
 
     __slots__ = ()
 
@@ -122,28 +125,23 @@ class InequalityRecord(namedtuple("InequalityRecord", "k1 k2 lhs rhs holds equal
 def check_caterpillar_inequality(k_max: int):
     """All instances of the product inequality with k1 + k2 <= k_max.
 
-    Every needed p_{q_k} is q_{k+1} / 2 by the recursion, so no prime query
-    beyond the sequence itself is issued.  k1 = 1 holds with equality.
+    With C_k the k-leaf binary caterpillar, p_{q_a} p_{q_b} is the Matula
+    number of join(C_a, C_b) and q_{a+b} that of C_{a+b}, so each instance
+    is one ``compare_matula`` of two trees: exact numbers or bounds on ln M,
+    as for the extremal claims.  k1 = 1 holds with equality, because then
+    the two trees are equal.  Raises SizeTooLarge past ``SIZE_CAP``.
     """
-    if k_max < 2:
-        raise DomainError(f"k_max must be >= 2, got {k_max}")
-    q = caterpillar_numbers(k_max)
-    p_of_q = {k: q[k] // 2 for k in range(1, k_max)}  # p_{q_k}, 1-based
+    _check_size(k_max, least=2)
+    caterpillars = [None, leaf()]  # C_k is join(leaf, C_{k-1}): one node each
+    for _ in range(k_max - 1):
+        caterpillars.append(join(leaf(), caterpillars[-1]))
     records = []
     for k1 in range(1, k_max):
         for k2 in range(k1, k_max - k1 + 1):
-            lhs = p_of_q[k1] * p_of_q[k2]
-            rhs = q[k1 + k2 - 1]
-            records.append(
-                InequalityRecord(
-                    k1=k1,
-                    k2=k2,
-                    lhs=lhs,
-                    rhs=rhs,
-                    holds=lhs <= rhs,
-                    equality=lhs == rhs,
-                )
-            )
+            lhs = join(caterpillars[k1], caterpillars[k2])
+            rhs = caterpillars[k1 + k2]
+            order = compare_matula(lhs, rhs)
+            records.append(InequalityRecord(k1, k2, lhs, rhs, order <= 0, order == 0))
     return records
 
 
@@ -162,10 +160,7 @@ def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
     SizeTooLarge past ``SIZE_CAP``, and IndexOutOfRange when two candidates'
     bounds overlap and their exact numbers need a prime past the ceiling.
     """
-    if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
-    if n > SIZE_CAP:
-        raise SizeTooLarge(f"extremal size {n} exceeds cap {SIZE_CAP}", size=n, cap=SIZE_CAP)
+    _check_size(n)
     wanted = 1 if maximum else -1
 
     def best_of(candidates):

@@ -75,6 +75,8 @@ def _fill(t, exact):
         node = stack.pop()
         if node._mnum is not None or not exact and node._lnm is not None:
             continue
+        if exact:  # a refusal leaves the node to refill from exact branches
+            node._lnm = None
         todo = [c for c in node.children if c._mnum is None and (exact or c._lnm is None)]
         if todo:
             stack.append(node)

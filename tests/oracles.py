@@ -8,12 +8,15 @@ parameters (the package decomposes over edges), the classic two-case
 recursion for binary tree counts (the package loops over pairs), and for
 the extremal trees an exhaustive scan that encodes every enumerated tree
 and a dynamic program that finds the best forest of every size by its own
-knapsack scan (the package reads every forest off the best trees).
+knapsack scan (the package reads every forest off the best trees).  Bounds
+on ln q_k, the caterpillar numbers, come from Dusart's 2010 formulas written
+out here and applied to the recursion q_{k+1} = 2 p_{q_k} (the package
+bounds trees node by node from its own table of bounds).
 """
 
 from collections import deque, namedtuple
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, log
 
 from matula import TreeClass, encode, enumerate_trees
 from matula.extremal import _balanced_split
@@ -24,6 +27,11 @@ A000669 = [1, 1, 2, 5, 12, 33, 90, 261, 766, 2312, 7068, 21965]
 
 # OEIS A000081: rooted trees by number of vertices.
 A000081 = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+
+
+# q_1 .. q_9, the caterpillar numbers q_k = 2 p_{q_{k-1}} below 2^32; the
+# acceptance suite re-derives them with a monolithic sieve.
+CATERPILLAR_NUMBERS = [1, 4, 14, 86, 886, 13766, 298154, 8455786, 300427382]
 
 
 class MonolithicSieve:
@@ -221,3 +229,30 @@ def knapsack_extremal(tree_class, n, maximum):
         else:
             best.append(best_of((best[k], *forest[s - k]) for k in range(1, s)))
     return best[n]
+
+
+def _ln_dusart_2010(ln_n, c):
+    """ln of n (ln n + ln ln n - 1 + (ln ln n - c) / ln n), which grows with n.
+
+    Dusart 2010 ("Estimates of some functions over primes without R.H.",
+    arXiv:1002.0442): p_n is at least this for c = 2.1 and n >= 3, and at
+    most this for c = 2 and n >= 688383.
+    """
+    ln_ln_n = log(ln_n)
+    return ln_n + log(ln_n + ln_ln_n - 1 + (ln_ln_n - c) / ln_n)
+
+
+def caterpillar_ln_intervals(k_max, margin=1e-9):
+    """[None, (lo, hi) on ln q_1, ..., (lo, hi) on ln q_k_max].
+
+    Exact up to q_9, then q_{k+1} = 2 p_{q_k} with q_k >= q_9 > 688383, so
+    both of Dusart's bounds apply.  Each interval is widened by the relative
+    ``margin`` against rounding in log() before the next is computed.
+    """
+    exact = [(log(q), log(q)) for q in CATERPILLAR_NUMBERS[:k_max]]
+    intervals = [None, *((lo * (1 - margin), hi * (1 + margin)) for lo, hi in exact)]
+    while len(intervals) <= k_max:
+        lo, hi = intervals[-1]
+        lo, hi = log(2) + _ln_dusart_2010(lo, 2.1), log(2) + _ln_dusart_2010(hi, 2.0)
+        intervals.append((lo * (1 - margin), hi * (1 + margin)))
+    return intervals

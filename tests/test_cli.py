@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import TreeClass, cli, extremal, primes
+from matula import TreeClass, binary_caterpillar, cli, encode, extremal, min_binary_tree, primes
+
+from oracles import caterpillar_ln_intervals
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +244,87 @@ def test_verify_lemma1(capsys):
         assert any(f" {product} <= " in line for line in lines)
 
 
+def _interval(field, key):
+    """(lo, hi) from the text ``key=[lo,hi]``."""
+    assert field.startswith(f"{key}=[") and field.endswith("]"), field
+    lo, hi = map(float, field.removeprefix(f"{key}=[").removesuffix("]").split(","))
+    assert lo < hi
+    return lo, hi
+
+
+_DEFAULT = ("--prime-bound", str(2**32))
+
+
+def test_verify_lemma1_up_to_the_cap(capsys):
+    code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "lemma1", "--max", "300")
+    lines = out.splitlines()
+    assert (code, len(lines)) == (0, 22500)
+    assert "VIOLATED" not in out and all(" holds" in line for line in lines)
+    equalities = [line for line in lines if line.endswith(" holds (equality)")]
+    assert equalities == [line for line in lines if line.startswith("(1,")]
+    assert len(equalities) == 299
+
+
+def test_a_value_past_the_ceiling_prints_its_bounds(capsys):
+    # q_10 = 2 p_300427382 is past the ceiling; q_9 = 300427382 is not.
+    code, out, _ = run_cli(capsys, *_DEFAULT, "seq", "q", "--max", "10")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert code == 0 and rows[8] == ["9", "300427382"]
+    q10 = rows[9][1]
+    _interval(q10, "ln_value")
+    code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "lemma1", "--max", "10")
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert code == 0
+    assert lines["(4,5)"] == "3049169 <= 300427382 holds"
+    assert lines["(5,5)"] == f"47375689 <= {q10.replace('value', 'rhs')} holds"
+    lhs, _, rhs, *status = lines["(1,9)"].split()
+    assert _interval(lhs, "ln_lhs") == _interval(rhs, "ln_rhs")
+    assert status == ["holds", "(equality)"]
+    # The claim of the same tree prints the same interval, also after the
+    # refused exact attempts above computed M(C_9).
+    code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "max-topological", "--leaves", "10")
+    assert out.split()[1] == q10.replace("value", "maximum")
+
+
+def test_json_values_past_the_ceiling_name_their_bounds(capsys):
+    code, out, _ = run_cli(capsys, *_DEFAULT, "--json", "seq", "q", "--max", "10")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert rows[8] == {"k": 9, "value": "300427382"}
+    assert set(rows[9]) == {"k", "ln_value"}
+    code, out, _ = run_cli(capsys, *_DEFAULT, "--json", "verify", "lemma1", "--max", "10")
+    records = {(r["k1"], r["k2"]): r for r in map(json.loads, out.splitlines())}
+    assert records[(5, 5)]["lhs"] == "47375689"
+    assert records[(5, 5)]["ln_rhs"] == rows[9]["ln_value"]
+    assert set(records[(1, 9)]) == {"k1", "k2", "ln_lhs", "ln_rhs", "holds", "equality"}
+    assert set(records[(4, 5)]) == {"k1", "k2", "lhs", "rhs", "holds", "equality"}
+
+
+def test_intervals_past_the_ceiling_contain_the_exact_values(capsys, ceiling):
+    # Under 2^36 the exact numbers are feasible: q_10 needs p_300427382 and
+    # l_21 = p_{l_8} p_{l_13} needs p_1260538619 (about 1 and 3.5 s).
+    ceiling(2**36)
+    exact = {"q": encode(binary_caterpillar(10)), "l": encode(min_binary_tree(21))}
+    assert exact == {"q": 12942000398, "l": 18372645935658281}
+    for which, k in (("q", 10), ("l", 21)):
+        code, out, _ = run_cli(capsys, *_DEFAULT, "seq", which, "--max", str(k))
+        lo, hi = _interval(out.splitlines()[-1].split("\t")[1], "ln_value")
+        assert code == 0 and lo < log(exact[which]) < hi
+
+
+def test_seq_q_overlaps_the_oracle_intervals(capsys):
+    # A second route to bounds on ln q_k: Dusart's 2010 bounds applied to
+    # q_{k+1} = 2 p_{q_k} from the exact q_9.
+    code, out, _ = run_cli(capsys, *_DEFAULT, "seq", "q", "--max", str(extremal.SIZE_CAP))
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert code == 0 and len(rows) == extremal.SIZE_CAP
+    for (k, value), (olo, ohi) in zip(rows, caterpillar_ln_intervals(extremal.SIZE_CAP)[1:]):
+        if value.startswith("ln_value="):
+            lo, hi = _interval(value, "ln_value")
+            assert lo <= ohi and olo <= hi, k
+        else:
+            assert olo <= log(int(value)) <= ohi, k
+
+
 def test_verify_max_topological(capsys):
     code, out, _ = run_cli(capsys, "verify", "max-topological", "--leaves", "5")
     assert code == 0
@@ -273,6 +356,8 @@ def test_verify_prints_the_certified_interval_past_the_ceiling(capsys):
 # Branch numbers 1 and 4 lie below m = 20, where no bound on p_m holds, so
 # only exact numbers can certify these, and p_4 = 7 lies past the ceiling.
 _UNBOUNDED = [(verb, c) for verb in ("min-binary", "max-topological") for c in ("2", "3", "5")]
+# The sequences and Lemma 1 share the extremal size cap.
+_CAPPED = [["seq", "q"], ["seq", "l"], ["verify", "lemma1"]]
 
 
 @pytest.mark.parametrize(
@@ -288,9 +373,16 @@ _UNBOUNDED = [(verb, c) for verb in ("min-binary", "max-topological") for c in (
          "offending index 301"),
         *[(["--prime-bound", c, "verify", verb, "--leaves", "3"], 3, "offending index 4")
           for verb, c in _UNBOUNDED],
+        *[([*argv, "--max", "301"], 3, "exceeds cap 300") for argv in _CAPPED],
+        # q_3 = l_3 = 14 = 2 p_4, as above: no row is printed before the
+        # refusal.
+        *[(["--prime-bound", "5", "seq", which, "--max", "4"], 3, "offending index 4")
+          for which in "ql"],
     ],
     ids=["gi-max-4", "min-topological-1", "max-topological-0", "past-the-cap",
-         "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _UNBOUNDED)],
+         "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _UNBOUNDED),
+         "seq-q-past-the-cap", "seq-l-past-the-cap", "lemma1-past-the-cap",
+         "seq-q-3-under-5", "seq-l-3-under-5"],
 )
 def test_verify_sizes_out_of_range(capsys, argv, code, message):
     got, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,5 @@
+from math import log
+
 import pytest
 
 from matula import extremal
@@ -22,7 +24,7 @@ from matula import (
     star,
 )
 
-from oracles import exhaustive_extremum, knapsack_extremal
+from oracles import caterpillar_ln_intervals, exhaustive_extremum, knapsack_extremal
 
 L_VALUES = [1, 4, 14, 49, 301, 1589, 9761, 51529, 452411, 3041573, 23140153]
 
@@ -111,7 +113,7 @@ def test_inequality_table_products():
         (3, 3): 1849,
     }
     for pair, product in table.items():
-        assert records[pair].lhs == product
+        assert encode(records[pair].lhs) == product
         assert records[pair].holds
     assert all(rec.holds for rec in records.values())
     # Pairs with k1 = 1 hold with equality; the others strictly.
@@ -123,8 +125,26 @@ def test_inequality_lhs_matches_direct_primes(oracle):
     q = caterpillar_numbers(6)
     for rec in check_caterpillar_inequality(6):
         direct = oracle.nth_prime(q[rec.k1 - 1]) * oracle.nth_prime(q[rec.k2 - 1])
-        assert rec.lhs == direct
-        assert rec.rhs == q[rec.k1 + rec.k2 - 1]
+        assert encode(rec.lhs) == direct
+        assert encode(rec.rhs) == q[rec.k1 + rec.k2 - 1]
+
+
+def test_inequality_agrees_with_the_oracle_intervals():
+    # p_{q_k} = q_{k+1} / 2, so the oracle's intervals on ln q bound both
+    # sides; for k1 >= 2 they decide every instance up to the cap, and the
+    # same way as the tree comparisons.
+    q = caterpillar_ln_intervals(extremal.SIZE_CAP)
+    least = float("inf")
+    for rec in check_caterpillar_inequality(extremal.SIZE_CAP):
+        if rec.k1 == 1:
+            continue
+        lhs_lo = q[rec.k1 + 1][0] + q[rec.k2 + 1][0] - 2 * log(2)
+        lhs_hi = q[rec.k1 + 1][1] + q[rec.k2 + 1][1] - 2 * log(2)
+        rhs_lo, rhs_hi = q[rec.k1 + rec.k2]
+        assert (lhs_hi < rhs_lo, lhs_lo > rhs_hi) == (rec.holds, not rec.holds), rec[:2]
+        assert not rec.equality
+        least = min(least, rhs_lo - lhs_hi)
+    assert least > 0.5
 
 
 def test_exhaustive_max_topological():

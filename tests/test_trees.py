@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from matula import (
     DomainError,
+    IndexOutOfRange,
     TooFewBranches,
     TreeClass,
     apply_merge,
@@ -24,7 +25,7 @@ from matula import (
 )
 from matula.codec import decode
 from matula.primes import _ln_prime_bounds
-from matula.trees import _WIDEN, _ln_bounds, ln_bounds
+from matula.trees import _WIDEN, _ln_bounds, ln_bounds, matula_number
 
 from oracles import MonolithicSieve, bfs_params
 
@@ -179,6 +180,22 @@ def test_ln_bounds_contain_ln_m():
         for t in trees:
             lo, hi = ln_bounds(t)
             assert Decimal(lo) < Decimal(encode(t)).ln() < Decimal(hi)
+
+
+def test_a_refused_exact_number_leaves_no_stale_bounds(ceiling):
+    # M(C_10) = 2 p_300427382 is past the ceiling.  Its first bounds rest on
+    # bounds for M(C_9); the refused exact attempt computes M(C_9) itself,
+    # and the bounds read next rest on that, as for a tree never refused.
+    ceiling(2**32)
+    tree = binary_caterpillar(10)
+    lo, hi = ln_bounds(tree)
+    with pytest.raises(IndexOutOfRange):
+        matula_number(tree)
+    narrow = ln_bounds(tree)
+    fresh = binary_caterpillar(10)
+    assert matula_number(fresh.children[-1]) == 300427382
+    assert ln_bounds(fresh) == narrow
+    assert narrow[1] - narrow[0] < (hi - lo) / 2
 
 
 def test_deep_trees_compare_without_recursion():
