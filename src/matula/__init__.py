@@ -36,7 +36,7 @@ _EXPORTS = {
     "TreeSyntaxError": ("errors", "TreeSyntaxError"),
     "ValueOutOfRange": ("errors", "ValueOutOfRange"),
     "apply_merge": ("trees", "apply_merge"),
-    "binary_caterpillar": ("trees", "binary_caterpillar"),
+    "binary_caterpillar": ("extremal", "binary_caterpillar"),
     "caterpillar_numbers": ("extremal", "caterpillar_numbers"),
     "check_caterpillar_inequality": ("extremal", "check_caterpillar_inequality"),
     "classify": ("trees", "classify"),

@@ -201,11 +201,10 @@ def _cmd_enumerate(args):
 
 def _cmd_seq(args):
     from . import extremal
-    from .trees import binary_caterpillar
 
     extremal._check_size(args.k_max)
-    tree_of = binary_caterpillar if args.which == "q" else extremal.min_binary_tree
-    values = [_value("value", tree_of(k)) for k in range(1, args.k_max + 1)]
+    trees = list(extremal._family(args.which, args.k_max))  # valued before any exact attempt
+    values = [_value("value", tree) for tree in trees]
     for k, value in enumerate(values, start=1):
         _emit(args, {"k": k, **value}, f"{k}\t{_bare(value)}")
     return 0
@@ -286,11 +285,11 @@ def _verify_claim(args):
     """Certify the claimed tree by the branch-size dynamic program; print
     its exact number while that is feasible, else its bounds on ln M."""
     from . import extremal, treetext
-    from .trees import TreeClass, binary_caterpillar
+    from .trees import TreeClass
 
     # verb -> (tree class, size flag, maximum?, the claimed extremal tree)
     tree_class, flag, maximum, claim = {
-        "max-topological": (TreeClass.TOPOLOGICAL, "leaves", True, binary_caterpillar),
+        "max-topological": (TreeClass.TOPOLOGICAL, "leaves", True, extremal.binary_caterpillar),
         "min-topological": (TreeClass.TOPOLOGICAL, "leaves", False, _topological_star),
         "gi-max": (TreeClass.ROOTED, "vertices", True, extremal.gi_max_tree),
         "min-binary": (TreeClass.BINARY, "leaves", False, extremal.min_binary_tree),

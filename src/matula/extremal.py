@@ -1,8 +1,11 @@
 """Extremal constructions, their number sequences, and one certificate for
 the extremal claims.
 
-Two families of extremal binary trees drive everything here, and each
-number sequence is read off its trees by ``matula_number``:
+Two families of extremal binary trees drive everything here.  ``_family``
+builds each once by its split rule (a, b): T_1 is the leaf, T_k is
+join(T_a, T_b), valued as it is built, and the members share their nodes.
+The constructors return the last member, and each sequence reads
+``matula_number`` off every member:
 
 * the binary caterpillar C_k, whose Matula numbers q satisfy q_1 = 1 and
   q_k = 2 p_{q_{k-1}}; it is the unique maximum over topological trees
@@ -30,7 +33,7 @@ bounds overlap.
 from collections import namedtuple
 
 from .errors import BadSize, DomainError, IndexOutOfRange, SizeTooLarge
-from .trees import Tree, TreeClass, binary_caterpillar, compare_matula, join, leaf, matula_number
+from .trees import Tree, TreeClass, compare_matula, join, leaf, ln_bounds, matula_number
 
 # Largest size of the certificate, the sequences and the inequality.  At
 # 300 the slowest, the star claim (tree work grows as n^3), takes 5 to 6 s
@@ -44,21 +47,22 @@ def caterpillar_numbers(k_max: int):
     Raises IndexOutOfRange (with attribute ``k`` set to the first infeasible
     index) once a number needs a prime beyond the oracle ceiling.
     """
-    return _numbers(binary_caterpillar, k_max)
+    return _numbers("q", k_max)
 
 
 def min_binary_numbers(k_max: int):
     """[l_1 .. l_k_max]: Matula numbers of the balanced minimal binary trees."""
-    return _numbers(min_binary_tree, k_max)
+    return _numbers("l", k_max)
 
 
-def _numbers(tree_of, k_max):
-    """[M(tree_of(1)) .. M(tree_of(k_max))], each read off its tree."""
+def _numbers(which, k_max):
+    """The Matula numbers of ``_family(which, k_max)``, each read off its tree
+    before the next is built, so that a refusal names the first k it meets."""
     _check_size(k_max)
     values = []
-    for k in range(1, k_max + 1):
+    for k, tree in enumerate(_family(which, k_max), start=1):
         try:
-            values.append(matula_number(tree_of(k)))
+            values.append(matula_number(tree))
         except IndexOutOfRange as exc:
             exc.k = k
             raise
@@ -82,25 +86,33 @@ def _balanced_split(k):
     return r, 1 << (s + 1)
 
 
-def min_binary_tree(k: int) -> Tree:
-    """The balanced k-leaf binary tree (conjectured Matula minimum).
+# Each family's split rule k -> (a, b), by the name of its sequence.
+_SPLITS = {"q": lambda k: (1, k - 1), "l": _balanced_split}
 
-    Construction is prime-free; only encoding it can hit the oracle ceiling.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    # The splits reached from k, then their trees, smallest first.
-    splits = {}
-    stack = [k]
-    while stack:
-        j = stack.pop()
-        if j > 1 and j not in splits:
-            splits[j] = _balanced_split(j)
-            stack.extend(splits[j])
-    trees = {1: leaf()}
-    for j in sorted(splits):
-        trees[j] = join(*(trees[part] for part in splits[j]))
-    return trees[k]
+
+def _family(which, n):
+    """T_1 .. T_n of the family ``which``, each valued and yielded as it is
+    built.  Readers that print bounds build all before any exact attempt,
+    so that no member's bounds depend on those attempts."""
+    if n < 1:
+        raise DomainError(f"size must be >= 1, got {n}")
+    trees = [None, leaf()]
+    yield trees[1]
+    for k in range(2, n + 1):
+        a, b = _SPLITS[which](k)
+        trees.append(join(trees[a], trees[b]))
+        ln_bounds(trees[-1])
+        yield trees[-1]
+
+
+def binary_caterpillar(n: int) -> Tree:
+    """The n-leaf binary caterpillar: internal vertices form a root path."""
+    return list(_family("q", n))[-1]
+
+
+def min_binary_tree(k: int) -> Tree:
+    """The balanced k-leaf binary tree (conjectured Matula minimum)."""
+    return list(_family("l", k))[-1]
 
 
 def gi_max_tree(n: int) -> Tree:
@@ -132,9 +144,7 @@ def check_caterpillar_inequality(k_max: int):
     the two trees are equal.  Raises SizeTooLarge past ``SIZE_CAP``.
     """
     _check_size(k_max, least=2)
-    caterpillars = [None, leaf()]  # C_k is join(leaf, C_{k-1}): one node each
-    for _ in range(k_max - 1):
-        caterpillars.append(join(leaf(), caterpillars[-1]))
+    caterpillars = [None, *_family("q", k_max)]
     records = []
     for k1 in range(1, k_max):
         for k2 in range(k1, k_max - k1 + 1):
@@ -180,7 +190,7 @@ def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
             parts = range(s - 1, 0, -1) if maximum else range(1, s)
             best.append(best_of((best[k], *best[s - k].children) for k in parts))
         elif tree_class is TreeClass.BINARY or maximum:
-            first = (1, s - 1) if maximum else _balanced_split(s)
+            first = _SPLITS["q" if maximum else "l"](s)
             splits = [first] + [(a, s - a) for a in range(1, s // 2 + 1) if a != first[0]]
             best.append(best_of((best[a], best[b]) for a, b in splits))
         else:

@@ -44,6 +44,7 @@ from .errors import (
     DomainError,
     FactorOutOfRange,
     IndexOutOfRange,
+    MatulaError,
     NotPrime,
     ValueOutOfRange,
 )
@@ -448,6 +449,8 @@ class PrimeOracle:
         if x0 >= self._limit_value:
             raise self._refusal(m)
         count = self.prime_count(x0)  # fewer than m, as p_m > x0
+        if count >= m:  # only a wrong bound gets here: fail loudly, not with a wrong prime
+            raise MatulaError(f"lower bound {x0} on p_{m} fails: pi({x0}) = {count} >= {m}")
         for _, found in self._windows(x0 + 1, self._limit_value + 1, _WINDOW_SPAN):
             if len(found) >= m - count:
                 break

@@ -13,6 +13,9 @@ Nodes compare by exact numbers, else by disjoint bounds; only overlapping
 bounds of different trees fall back to exact numbers through the oracle,
 which can raise IndexOutOfRange for astronomically deep inputs.  That
 failure is deliberate and loud.  No walk over a tree recurses.
+
+``join`` values the branches it orders, so the extremal families, each
+built once by its split rule in ``extremal``, are valued as they are built.
 """
 
 from collections import namedtuple
@@ -172,17 +175,6 @@ def star(n: int) -> Tree:
     return Tree([_LEAF] * n)
 
 
-def binary_caterpillar(n: int) -> Tree:
-    """The n-leaf binary caterpillar: internal vertices form a root path."""
-    if n < 1:
-        raise DomainError(f"binary_caterpillar needs n >= 1, got {n}")
-    t = _LEAF
-    for _ in range(n - 1):
-        # A leaf sorts below everything, so this order is already canonical.
-        t = Tree([_LEAF, t])
-    return t
-
-
 def apply_merge(t: Tree) -> Tree:
     """Merge the two smallest branches of t under a new joint branch.
 
@@ -207,23 +199,11 @@ class TreeClass(Enum):
 def classify(t: Tree) -> set:
     """The classes t belongs to: rooted always, topological when no vertex
     has outdegree 1, binary when every outdegree is 0 or 2."""
-    topological = True
-    binary = True
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        d = len(node.children)
-        if d == 1:
-            topological = False
-        if d not in (0, 2):
-            binary = False
-        if not (topological or binary):
-            break
-        stack.extend(node.children)
+    outdegrees = set(params(t).outdegree_multiset)
     out = {TreeClass.ROOTED}
-    if topological:
+    if 1 not in outdegrees:
         out.add(TreeClass.TOPOLOGICAL)
-    if binary:
+    if outdegrees <= {0, 2}:
         out.add(TreeClass.BINARY)
     return out
 

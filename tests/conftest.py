@@ -1,4 +1,5 @@
 import os
+from math import log
 
 import pytest
 
@@ -39,3 +40,21 @@ def ceiling():
 
     yield install
     set_default_oracle(previous)
+
+
+@pytest.fixture
+def overshoot(monkeypatch):
+    """``overshoot(m, lower)`` makes ``lower`` the tightest lower bound on
+    p_m that the oracle reads, as a wrong bound past p_m would; every other
+    bound stays as proven."""
+
+    def install(m, lower):
+        proven = primes._ln_prime_bounds
+
+        def patched(lo, hi):
+            bounds = proven(lo, hi)
+            return (log(lower), bounds[1]) if lo == hi == log(m) else bounds
+
+        monkeypatch.setattr(primes, "_ln_prime_bounds", patched)
+
+    return install

@@ -284,6 +284,39 @@ def test_a_value_past_the_ceiling_prints_its_bounds(capsys):
     # refused exact attempts above computed M(C_9).
     code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "max-topological", "--leaves", "10")
     assert out.split()[1] == q10.replace("value", "maximum")
+    # Past k = 10 no exact attempt is made, and each route values C_k from
+    # bounds taken as its caterpillars were built.
+    for k in (11, 12, 20):
+        code, out, _ = run_cli(capsys, *_DEFAULT, "seq", "q", "--max", str(k))
+        interval = _interval(out.splitlines()[-1].split("\t")[1], "ln_value")
+        code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "max-topological", "--leaves", str(k))
+        assert _interval(out.split()[1], "ln_maximum") == interval, k
+        code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "lemma1", "--max", str(k))
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert _interval(lines[f"(1,{k - 1})"].split()[2], "ln_rhs") == interval, k
+
+
+def _distinct_nodes(trees):
+    """The number of distinct node objects in the given trees."""
+    seen = {}
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children)
+    return len(seen)
+
+
+@pytest.mark.parametrize("which", ["q", "l"])
+def test_seq_values_one_node_shared_family(capsys, monkeypatch, which):
+    # The rows are the members of one family, so k rows hold k nodes.
+    valued = []
+    value = cli._value
+    monkeypatch.setattr(cli, "_value", lambda key, tree: valued.append(tree) or value(key, tree))
+    code, _, _ = run_cli(capsys, *_DEFAULT, "seq", which, "--max", "300")
+    assert code == 0 and len(valued) == 300
+    assert _distinct_nodes(valued) == 300
 
 
 def test_json_values_past_the_ceiling_name_their_bounds(capsys):
@@ -594,6 +627,14 @@ def test_nth_prime_past_the_prefix_in_bounded_memory():
     assert code == 0, proc.stderr
     assert proc.stdout == "2038074743\n"
     assert max_rss_kib / 1024 <= 150
+
+
+def test_a_wrong_lower_bound_on_a_prime_is_a_usage_error(capsys, overshoot):
+    overshoot(2_000_000, 32_452_843 + 2)  # just past p_2000000
+    code, out, err = run_cli(capsys, *_DEFAULT, "primes", "nth", "2000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lower bound ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def _peak_rss_mib(code):

@@ -50,6 +50,16 @@ def test_caterpillar_numbers_out_of_range_reports_k(ceiling):
     assert err.value.k == 7
 
 
+def test_numbers_report_k_under_a_tiny_ceiling(ceiling):
+    # Under 5 the bounds on p_m (none below m = 20) cannot order the
+    # members past k = 3, whose number 14 already needs p_4 = 7.
+    ceiling(5)
+    for numbers in (caterpillar_numbers, min_binary_numbers):
+        with pytest.raises(IndexOutOfRange) as err:
+            numbers(30)
+        assert (err.value.k, err.value.index) == (3, 4)
+
+
 def test_min_binary_numbers_golden():
     assert min_binary_numbers(11) == L_VALUES
     assert min_binary_numbers(18)[-1] == 32078140605053
@@ -82,6 +92,18 @@ def test_min_binary_tree_encodes_to_sequence():
     values = min_binary_numbers(18)
     for k in (1, 2, 3, 6, 11, 13, 18):
         assert encode(min_binary_tree(k)) == values[k - 1]
+
+
+@pytest.mark.parametrize("which, split", [("q", lambda k: (1, k - 1)), ("l", extremal._balanced_split)])
+def test_each_family_is_one_node_shared_list(which, split):
+    # Every branch is an earlier member itself, so 300 members are 300 nodes.
+    family = list(extremal._family(which, 300))
+    assert len({id(tree) for tree in family}) == 300 and family[0] is leaf()
+    for k, tree in enumerate(family[1:], start=2):
+        a, b = split(k)
+        assert sorted(map(id, tree.children)) == sorted((id(family[a - 1]), id(family[b - 1])))
+    constructor = binary_caterpillar if which == "q" else min_binary_tree
+    assert constructor(300) == family[-1]
 
 
 def test_gi_max_tree_values():

@@ -13,6 +13,7 @@ from matula import (
     DomainError,
     FactorOutOfRange,
     IndexOutOfRange,
+    MatulaError,
     NotPrime,
     PrimeOracle,
     ValueOutOfRange,
@@ -423,6 +424,23 @@ def test_nth_prime_refuses_a_huge_index(pi_counts):
             PrimeOracle(limit_value=limit_value).nth_prime(m)
         assert err.value.index == m
     assert pi_counts == []
+
+
+P_2000000 = 32_452_843
+
+
+@pytest.mark.parametrize("lower", [P_2000000 + 2, P_2000000 * 101 // 100])
+def test_a_lower_bound_past_the_prime_is_a_loud_error(overshoot, lower):
+    # Just past p_m the count at the bound is m (the walk would return the
+    # last prime of its first window); 1% past it the count exceeds m.
+    overshoot(2_000_000, lower)
+    with pytest.raises(MatulaError) as err:
+        PrimeOracle().nth_prime(2_000_000)
+    assert not isinstance(err.value, IndexOutOfRange)
+    x0 = int(lower * (1 - primes._WIDEN))
+    count = PrimeOracle().prime_count(x0)
+    assert count >= 2_000_000
+    assert str(err.value) == f"lower bound {x0} on p_2000000 fails: pi({x0}) = {count} >= 2000000"
 
 
 def test_prime_stream_past_the_prefix_matches_the_sieve(big_sieve):

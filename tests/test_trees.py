@@ -192,9 +192,11 @@ def test_a_refused_exact_number_leaves_no_stale_bounds(ceiling):
     with pytest.raises(IndexOutOfRange):
         matula_number(tree)
     narrow = ln_bounds(tree)
-    fresh = binary_caterpillar(10)
-    assert matula_number(fresh.children[-1]) == 300427382
-    assert ln_bounds(fresh) == narrow
+    # binary_caterpillar values as it builds, so the tree never refused is
+    # joined only once M(C_9) is known.
+    c9 = binary_caterpillar(9)
+    assert matula_number(c9) == 300427382
+    assert ln_bounds(join(leaf(), c9)) == narrow
     assert narrow[1] - narrow[0] < (hi - lo) / 2
 
 
@@ -263,6 +265,11 @@ def test_classify():
         TreeClass.TOPOLOGICAL,
         TreeClass.BINARY,
     }
+    # No walk recurses: a 5000-deep caterpillar, and the same below a
+    # vertex of outdegree 1.
+    deep = binary_caterpillar(5000)
+    assert classify(deep) == {TreeClass.ROOTED, TreeClass.TOPOLOGICAL, TreeClass.BINARY}
+    assert classify(join(leaf(), join(deep))) == {TreeClass.ROOTED}
 
 
 def test_params_of_worked_example():
