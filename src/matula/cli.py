@@ -3,18 +3,19 @@
 One binary, deterministic output.  Results go to stdout, errors to stderr.
 Exit codes: 0 success, 2 usage or malformed input, 3 range/infeasibility
 (the offending prime index is printed), 4 a verification claim failed (the
-CI tripwire).  Matula numbers and primes are printed as decimal strings.  A
-number past the ceiling (an extremal claim's, a Lemma 1 side or a sequence
-value) prints as its certified bounds on ln M, ln_<key>=[lo,hi] with repr;
-only the two analytic bound formulas print other floats, at 6 significant
-figures.  With --json every result line is a single JSON object.
+CI tripwire).  Matula numbers, primes and tree counts are printed as
+decimal strings, also under --json.  A number past the ceiling (an extremal
+claim's, a Lemma 1 side or a sequence value) prints as its certified bounds
+on ln M, ln_<key>=[lo,hi] with repr; only the two analytic bound formulas
+print other floats, at 6 significant figures.  With --json every result
+line is a single JSON object.
 """
 
 import argparse
 import signal
 import sys
 from contextlib import suppress
-from math import isfinite, log
+from math import log
 
 # Each command imports the layers it calls, so a fresh process loads only
 # those: a prime query never loads the tree layers.
@@ -42,8 +43,9 @@ def _build_parser():
         type=int,
         default=None,
         metavar="N",
-        help="prime value ceiling in [2, 2^48], the square of the sieved "
-        "prefix's end (default: MATULA_PRIME_BOUND or 2^32)",
+        help="prime value ceiling in [71, 2^48]: from p_20, as p_m has proven "
+        "upper bounds from m = 20 on, to the square of the sieved prefix's "
+        "end (default: 2^32)",
     )
     parser.add_argument(
         "--json", action="store_true", help="one JSON object per result line"
@@ -187,7 +189,7 @@ def _cmd_enumerate(args):
     cap = getattr(args, f"max_{kind}")
     if args.count:
         n = count_trees(spec, cap)
-        _emit(args, {"count": n}, str(n))
+        _emit(args, {"count": str(n)}, str(n))
         return 0
     for t in enumerate_trees(spec, cap):
         text = treetext.serialize(t)
@@ -252,10 +254,6 @@ def _value(key, tree):
         with suppress(IndexOutOfRange):
             return {key: str(matula_number(tree))}
     lo, hi = ln_bounds(tree)
-    if not isfinite(hi - lo):
-        # No proven bound holds this low: only the exact number can
-        # certify, and its refusal names the offending index.
-        matula_number(tree)
     return {f"ln_{key}": f"[{lo!r},{hi!r}]"}
 
 
@@ -384,17 +382,14 @@ def run(argv=None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
-        try:
-            # Built here, a bad MATULA_PRIME_BOUND is a usage error like a bad
-            # --prime-bound.  Every layer reads the shared oracle, so an
-            # override applies process-wide for this run.
-            if args.prime_bound is None:
-                primes.default_oracle()
-            else:
+        if args.prime_bound is not None:
+            # Every layer reads the shared oracle, so the override applies
+            # process-wide for this run.
+            try:
                 primes.set_default_oracle(primes.PrimeOracle(args.prime_bound))
-        except ValueError as exc:
-            print(f"error: {exc}".replace("limit_value", "--prime-bound"), file=sys.stderr)
-            return 2
+            except ValueError as exc:
+                print(f"error: {exc}".replace("limit_value", "--prime-bound"), file=sys.stderr)
+                return 2
         if args.command == "verify":
             return _VERIFIERS[args.verb](args)
         return _COMMANDS[args.command](args)

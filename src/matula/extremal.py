@@ -57,7 +57,8 @@ def min_binary_numbers(k_max: int):
 
 def _numbers(which, k_max):
     """The Matula numbers of ``_family(which, k_max)``, each read off its tree
-    before the next is built, so that a refusal names the first k it meets."""
+    before the next is built, so that a refusal names the first k whose
+    number needs a prime past the ceiling, not a later join that does."""
     _check_size(k_max)
     values = []
     for k, tree in enumerate(_family(which, k_max), start=1):
@@ -92,8 +93,11 @@ _SPLITS = {"q": lambda k: (1, k - 1), "l": _balanced_split}
 
 def _family(which, n):
     """T_1 .. T_n of the family ``which``, each valued and yielded as it is
-    built.  Readers that print bounds build all before any exact attempt,
-    so that no member's bounds depend on those attempts."""
+    built.  A join orders its branches by exact numbers when their bounds
+    overlap, which may need a prime past the ceiling, so members come one
+    at a time for readers that must name the first refused k.  Readers that
+    print bounds build all before any exact attempt, so that no member's
+    bounds depend on those attempts."""
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     trees = [None, leaf()]

@@ -1,11 +1,10 @@
 """Exact prime-sequence queries: a sieved prefix, sublinear routes past it.
 
 The oracle answers nth-prime, prime-index, prime-counting and factorization
-queries for values below a configurable ceiling (``MATULA_PRIME_BOUND``
-environment variable, default 2^32, at most 2^48).  A query that would need
-a prime beyond the ceiling raises rather than thrashes, because callers
-(tree encoders in particular) must be able to tell infeasible inputs apart
-from slow ones.
+queries for values below a ceiling, set per oracle (default 2^32, at least
+p_20 = 71, at most 2^48).  A query that would need a prime beyond the
+ceiling raises rather than thrashes, because callers (tree encoders in
+particular) must be able to tell infeasible inputs apart from slow ones.
 
 Values up to 2^24 are answered from a table of primes that grows on demand,
 sieved in segments by the pure-Python kernel in ``_sieve_py``.  The table is
@@ -31,13 +30,12 @@ enumerations ask for the same indices again and again.
 Every proven bound on p_m that the package trusts is a row of ``_BOUNDS``.
 """
 
-import os
 import threading
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cache, lru_cache
 from itertools import accumulate, groupby, islice
-from math import exp, gcd, inf, isqrt, log
+from math import exp, gcd, isqrt, log
 
 from . import _sieve_py
 from .errors import (
@@ -49,7 +47,6 @@ from .errors import (
     ValueOutOfRange,
 )
 
-ENV_PRIME_BOUND = "MATULA_PRIME_BOUND"
 DEFAULT_PRIME_BOUND = 2**32
 
 # Bootstrap sieve size; covers sqrt of every value the prefix holds, so
@@ -124,6 +121,11 @@ _BOUNDS = (
     _Bound("dusart-upper", "upper", 2.0, True, 688383),
 )
 
+# The least ceiling, p_20: 20 is the least m of any upper row of _BOUNDS.  The
+# first sieve reaches min(_BOOTSTRAP, ceiling) >= 71, so the table always
+# holds p_1 .. p_20 and every bound on p_m read past it is finite.
+_LEAST_CEILING = 71
+
 
 def _factors(row, ln_ms, ln_ln_ms):
     """For each ln m and ln ln m, the f with m f the bound of ``row`` on p_m."""
@@ -152,12 +154,11 @@ def rosser_schoenfeld_upper(m):
 @lru_cache(maxsize=1 << 12)
 def _ln_prime_bounds(lo, hi):
     """The tightest bounds (lower, upper) on ln p_m for every m with lo <= ln m
-    <= hi, or None when m may lie below 20.  Unwidened against float rounding."""
+    <= hi, where m >= 20.  Unwidened against float rounding."""
     rows = [row for row in _BOUNDS if lo >= log(row.least)]
     upper = [hi + log(_factors(row, [hi], [log(hi)])[0]) for row in rows if row.side == "upper"]
-    # Below m = 20, where no upper row holds, a lower bound may be negative.
-    lower = [lo + log(_factors(row, [lo], [log(lo)])[0]) for row in rows if upper and row.side == "lower"]
-    return (max(lower), min(upper)) if upper else None
+    lower = [lo + log(_factors(row, [lo], [log(lo)])[0]) for row in rows if row.side == "lower"]
+    return max(lower), min(upper)
 
 
 def is_prime_certified(n: int) -> bool:
@@ -328,16 +329,11 @@ class PrimeOracle:
     """
 
     def __init__(self, limit_value=None):
-        name, given = "limit_value", limit_value
         if limit_value is None:
-            name, given = ENV_PRIME_BOUND, os.environ.get(ENV_PRIME_BOUND)
-            try:
-                limit_value = DEFAULT_PRIME_BOUND if given is None else int(given)
-            except ValueError:
-                limit_value = 0  # not an integer: refused below
+            limit_value = DEFAULT_PRIME_BOUND
         cap = _PREFIX_CAP**2  # so every base prime lies in the table
-        if not 2 <= limit_value <= cap:
-            raise ValueError(f"{name} must be in [2, {cap}], got {given!r}")
+        if not _LEAST_CEILING <= limit_value <= cap:
+            raise ValueError(f"limit_value must be in [{_LEAST_CEILING}, {cap}], got {limit_value}")
         self._limit_value = int(limit_value)
         self._lock = threading.RLock()
         bootstrap = min(_BOOTSTRAP, self._limit_value)
@@ -444,7 +440,7 @@ class PrimeOracle:
         p = self._far.get(("nth", m))
         if p is not None:
             return p
-        lower = (_ln_prime_bounds(log(m), log(m)) or (-inf,))[0]  # none below m = 20
+        lower, _ = _ln_prime_bounds(log(m), log(m))
         x0 = max(int(exp(lower) * (1 - _WIDEN)), _PREFIX_CAP)
         if x0 >= self._limit_value:
             raise self._refusal(m)
@@ -473,17 +469,16 @@ class PrimeOracle:
             return self._primes[m - 1]
         if m >= self._prefix_end:
             return None
-        # No bounds below m = 20: no gate, and segments size the sieve.
-        lower, upper = _ln_prime_bounds(log(m), log(m)) or (-inf, -inf)
+        lower, upper = _ln_prime_bounds(log(m), log(m))
         if exp(lower) * (1 - _WIDEN) >= self._prefix_end:
             return None
         with self._lock:
-            # The tightest upper bound sizes the sieve, by at least a segment;
-            # should the bound fall short, further segments follow.
-            target = max(int(exp(upper)) + 2, self._sieved_to + _SEGMENT_SPAN)
+            # The tightest upper bound sizes the sieve, and the table at least
+            # doubles; should the bound fall short, further doublings follow.
+            target = max(int(exp(upper)) + 2, 2 * self._sieved_to)
             while m > len(self._primes) and self._sieved_to < self._prefix_end:
                 self._extend_to_value(target)
-                target = self._sieved_to + _SEGMENT_SPAN
+                target = 2 * self._sieved_to
             if m <= len(self._primes):
                 return self._primes[m - 1]
         return None

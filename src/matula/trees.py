@@ -21,7 +21,7 @@ built once by its split rule in ``extremal``, are valued as they are built.
 from collections import namedtuple
 from enum import Enum
 from functools import cmp_to_key
-from math import inf, log, prod
+from math import log, prod
 
 from .errors import DomainError, TooFewBranches
 from .primes import _WIDEN, _ln_prime_bounds, default_oracle
@@ -92,9 +92,7 @@ def _fill(t, exact):
         lo = hi = 0.0
         for child, p in zip(node.children, primes):
             if p is None:
-                # No bound below m = 20: the node stays unbounded, and any
-                # comparison with it falls back to exact numbers.
-                plo, phi = _ln_prime_bounds(*_ln_bounds(child)) or (-inf, inf)
+                plo, phi = _ln_prime_bounds(*_ln_bounds(child))
             else:
                 plo = phi = log(p)
             lo += plo

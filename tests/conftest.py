@@ -28,7 +28,7 @@ def oracle():
 @pytest.fixture
 def ceiling():
     """``ceiling(limit_value)`` installs a fresh oracle with that ceiling
-    (default: the environment's or 2^32) as the process-wide default and
+    (default 2^32) as the process-wide default and
     returns it; the previous default comes back when the test ends.  Build
     trees after the call: numbers memoized earlier stay on their nodes."""
     previous = primes._default_oracle

@@ -127,6 +127,15 @@ def test_enumerate_count_only(capsys):
     assert (code, out) == (0, "9\n")
 
 
+def test_json_count_is_a_decimal_string(capsys):
+    # Far past 2^53, where a JSON number loses digits in most readers.
+    code, out, _ = run_cli(
+        capsys, "--json", "enumerate", "--class", "rooted", "--vertices", "60",
+        "--max-vertices", "60", "--count",
+    )
+    assert (code, out) == (0, '{"count": "16486885726043465205200778"}\n')
+
+
 def test_enumerate_cap_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "--class", "topological", "--leaves", "13"
@@ -160,28 +169,31 @@ def test_enumerate_cap_flag_must_match_the_size_flag(capsys, argv, flag):
 
 
 def test_prime_bound_flag_validation(capsys):
-    # Named like a bad MATULA_PRIME_BOUND: the flag, not the library's argument.
-    for value in ["1", "281474976710657", "99999999999999999999"]:
+    # Named like the flag, not the library's argument.
+    for value in ["1", "70", "281474976710657", "99999999999999999999"]:
         code, out, err = run_cli(capsys, "--prime-bound", value, "primes", "nth", "1")
         assert (code, out) == (2, "")
-        assert err == f"error: --prime-bound must be in [2, {2**48}], got {value}\n"
+        assert err == f"error: --prime-bound must be in [71, {2**48}], got {value}\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "1", "281474976710657", "99999999999999999999"])
-def test_bad_prime_bound_variable_is_a_usage_error(value):
-    env = dict(os.environ, MATULA_PRIME_BOUND=value)
+def test_the_least_ceiling_prints_finite_intervals(capsys):
+    # Under the least ceiling, p_20 = 71, q_5 = 2 p_86 lies past it and
+    # still prints a finite interval.
+    code, out, err = run_cli(capsys, "--prime-bound", "71", "seq", "q", "--max", "5")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert (code, err) == (0, "")
+    assert rows[:4] == [["1", "1"], ["2", "4"], ["3", "14"], ["4", "86"]]
+    lo, hi = _interval(rows[4][1], "ln_value")
+    assert lo < log(886) < hi
 
-    def matula(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "matula.cli", *argv],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
 
-    proc = matula("primes", "nth", "5")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: MATULA_PRIME_BOUND must be in [2, {2**48}], got {value!r}\n"
-    # An explicit ceiling does not read the variable.
-    proc = matula("--prime-bound", "100", "primes", "nth", "5")
+def test_the_prime_bound_variable_is_not_read():
+    # The ceiling comes from --prime-bound or the library alone.
+    proc = subprocess.run(
+        [sys.executable, "-m", "matula.cli", "primes", "nth", "5"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, MATULA_PRIME_BOUND="abc"),
+    )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "11\n", "")
 
 
@@ -296,6 +308,17 @@ def test_a_value_past_the_ceiling_prints_its_bounds(capsys):
         assert _interval(lines[f"(1,{k - 1})"].split()[2], "ln_rhs") == interval, k
 
 
+def test_a_balanced_tree_past_the_ceiling_prints_one_interval(capsys):
+    # l_21 is the first balanced minimum past the ceiling.  Its row in seq
+    # and the certificate's minimum are the same tree, valued by one route.
+    for k in (21, 32, extremal.SIZE_CAP):
+        code, out, _ = run_cli(capsys, *_DEFAULT, "seq", "l", "--max", str(k))
+        interval = _interval(out.splitlines()[-1].split("\t")[1], "ln_value")
+        code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "min-binary", "--leaves", str(k))
+        assert code == 0 and out.endswith(" ok\n")
+        assert _interval(out.split()[1], "ln_minimum") == interval, k
+
+
 def _distinct_nodes(trees):
     """The number of distinct node objects in the given trees."""
     seen = {}
@@ -386,9 +409,9 @@ def test_verify_prints_the_certified_interval_past_the_ceiling(capsys):
     assert lo < log(13766) < hi
 
 
-# Branch numbers 1 and 4 lie below m = 20, where no bound on p_m holds, so
-# only exact numbers can certify these, and p_4 = 7 lies past the ceiling.
-_UNBOUNDED = [(verb, c) for verb in ("min-binary", "max-topological") for c in ("2", "3", "5")]
+# Ceilings below p_20 = 71, where no upper bound on p_m holds, are refused
+# before any work.
+_TOO_LOW = [(verb, c) for verb in ("min-binary", "max-topological") for c in ("2", "3", "5")]
 # The sequences and Lemma 1 share the extremal size cap.
 _CAPPED = [["seq", "q"], ["seq", "l"], ["verify", "lemma1"]]
 
@@ -404,16 +427,15 @@ _CAPPED = [["seq", "q"], ["seq", "l"], ["verify", "lemma1"]]
         # p_301 = 1993, past the ceiling.
         (["--prime-bound", "1000", "verify", "min-binary", "--leaves", "30"], 3,
          "offending index 301"),
-        *[(["--prime-bound", c, "verify", verb, "--leaves", "3"], 3, "offending index 4")
-          for verb, c in _UNBOUNDED],
+        *[(["--prime-bound", c, "verify", verb, "--leaves", "3"], 2,
+           "--prime-bound must be in [71, ") for verb, c in _TOO_LOW],
         *[([*argv, "--max", "301"], 3, "exceeds cap 300") for argv in _CAPPED],
-        # q_3 = l_3 = 14 = 2 p_4, as above: no row is printed before the
-        # refusal.
-        *[(["--prime-bound", "5", "seq", which, "--max", "4"], 3, "offending index 4")
+        # As above: no row is printed before the refusal.
+        *[(["--prime-bound", "5", "seq", which, "--max", "4"], 2, "--prime-bound must be in [71, ")
           for which in "ql"],
     ],
     ids=["gi-max-4", "min-topological-1", "max-topological-0", "past-the-cap",
-         "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _UNBOUNDED),
+         "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _TOO_LOW),
          "seq-q-past-the-cap", "seq-l-past-the-cap", "lemma1-past-the-cap",
          "seq-q-3-under-5", "seq-l-3-under-5"],
 )
@@ -613,15 +635,12 @@ print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
 
 
 def test_nth_prime_past_the_prefix_in_bounded_memory():
-    env = dict(os.environ)
-    env.pop("MATULA_PRIME_BOUND", None)
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_LAUNCHER,
          sys.executable, "-m", "matula.cli", "primes", "nth", "100000000"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
     )
     code, max_rss_kib = map(int, proc.stderr.split()[-2:])
     assert code == 0, proc.stderr
@@ -639,14 +658,11 @@ def test_a_wrong_lower_bound_on_a_prime_is_a_usage_error(capsys, overshoot):
 
 def _peak_rss_mib(code):
     """Peak RSS of a fresh interpreter running ``code``, default ceiling."""
-    env = dict(os.environ)
-    env.pop("MATULA_PRIME_BOUND", None)
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_LAUNCHER, sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
     )
     status, max_rss_kib = map(int, proc.stderr.split()[-2:])
     assert status == 0, proc.stderr
@@ -712,14 +728,11 @@ def test_decode_of_a_probable_prime_past_the_certification_bound(capsys, monkeyp
 def test_verify_min_binary_past_the_sieved_prefix():
     # From 95 leaves on, only Dusart's 2010 bounds order the best splits;
     # without them the certificate asked for p_64474684537.
-    env = dict(os.environ)
-    env.pop("MATULA_PRIME_BOUND", None)
     proc = subprocess.run(
         [sys.executable, "-m", "matula.cli", "verify", "min-binary", "--leaves", "300"],
         capture_output=True,
         text=True,
         timeout=30,
-        env=env,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("leaves=300 ln_minimum=[") and proc.stdout.endswith(" ok\n")
@@ -727,14 +740,11 @@ def test_verify_min_binary_past_the_sieved_prefix():
 
 def test_last_prime_below_the_default_ceiling():
     # A fresh process counts pi(2^32) to decide the refusal, then p_m.
-    env = dict(os.environ)
-    env.pop("MATULA_PRIME_BOUND", None)
     proc = subprocess.run(
         [sys.executable, "-m", "matula.cli", "primes", "nth", "203280221"],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "4294967291\n", "")
 

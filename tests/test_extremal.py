@@ -51,13 +51,15 @@ def test_caterpillar_numbers_out_of_range_reports_k(ceiling):
 
 
 def test_numbers_report_k_under_a_tiny_ceiling(ceiling):
-    # Under 5 the bounds on p_m (none below m = 20) cannot order the
-    # members past k = 3, whose number 14 already needs p_4 = 7.
-    ceiling(5)
-    for numbers in (caterpillar_numbers, min_binary_numbers):
+    # Under 100, q_5 = 2 p_86 needs p_86 = 443 and l_6 = p_4 p_49 needs
+    # p_49 = 227.  Building the balanced family on to k = 127 raises in the
+    # join of B_63 and B_64, whose bounds overlap, also at index 49; the
+    # first refused member still names its k.
+    ceiling(100)
+    for numbers, k, index in ((caterpillar_numbers, 5, 86), (min_binary_numbers, 6, 49)):
         with pytest.raises(IndexOutOfRange) as err:
-            numbers(30)
-        assert (err.value.k, err.value.index) == (3, 4)
+            numbers(extremal.SIZE_CAP)
+        assert (err.value.k, err.value.index) == (k, index)
 
 
 def test_min_binary_numbers_golden():

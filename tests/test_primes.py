@@ -171,10 +171,8 @@ def test_value_out_of_range():
         small.prime_count(101)
 
 
-def test_env_override(monkeypatch):
+def test_the_environment_sets_no_ceiling(monkeypatch):
     monkeypatch.setenv("MATULA_PRIME_BOUND", "5000")
-    assert PrimeOracle().limit_value == 5000
-    monkeypatch.delenv("MATULA_PRIME_BOUND")
     assert PrimeOracle().limit_value == 2**32
 
 
@@ -186,8 +184,24 @@ def test_constructor_validation():
     # The ceiling is at most the square of the sieved prefix's end.
     with pytest.raises(ValueError) as err:
         PrimeOracle(limit_value=2**48 + 1)
-    assert str(err.value) == f"limit_value must be in [2, {2**48}], got {2**48 + 1}"
+    assert str(err.value) == f"limit_value must be in [71, {2**48}], got {2**48 + 1}"
     assert PrimeOracle(limit_value=2**48).limit_value == 2**48
+    with pytest.raises(ValueError) as err:
+        PrimeOracle(limit_value=70)
+    assert str(err.value) == f"limit_value must be in [71, {2**48}], got 70"
+
+
+def test_the_least_ceiling_is_the_least_prime_with_an_upper_bound():
+    least = min(row.least for row in primes._BOUNDS if row.side == "upper")
+    assert primes._LEAST_CEILING == naive_nth_prime(least)
+    # Its first sieve already holds p_1 .. p_20, so no prime is looked up
+    # by bounds below m = 20, and the next index is refused by bounds.
+    oracle = PrimeOracle(limit_value=primes._LEAST_CEILING)
+    assert repr(oracle) == f"PrimeOracle(limit_value=71, sieved_to=72, cached={least})"
+    assert oracle.nth_prime(least) == 71
+    with pytest.raises(IndexOutOfRange) as err:
+        oracle.nth_prime(least + 1)
+    assert err.value.index == least + 1
 
 
 def test_segment_matches_monolithic_sieve():
@@ -329,8 +343,7 @@ def test_counts_past_a_small_prefix(big_sieve, monkeypatch, cap, bootstrap):
     assert f"cached={big_sieve.count(cap)})" in repr(oracle)
 
 
-def test_the_default_ceiling_edge(monkeypatch):
-    monkeypatch.delenv("MATULA_PRIME_BOUND", raising=False)
+def test_the_default_ceiling_edge():
     oracle = PrimeOracle()
     assert oracle.nth_prime(203_280_221) == 4_294_967_291
     assert oracle.prime_count(2**32) == 203_280_221
@@ -399,6 +412,14 @@ def test_prefix_stays_capped():
     assert f"sieved_to={2**24 + 1}," in repr(oracle)
     oracle.nth_prime(10**8)
     assert f"cached={PI_2_24})" in repr(oracle)
+
+
+def test_a_prime_just_past_the_bootstrap_doubles_the_table():
+    # p_6543 = 65537 is the first prime past the bootstrap sieve; the table
+    # grows to its upper bound or twice its reach, not by a whole segment.
+    oracle = PrimeOracle()
+    assert oracle.nth_prime(6543) == 65537
+    assert oracle._sieved_to <= 2**18
 
 
 def test_prefix_prime_answers_inside_the_prefix_only():

@@ -226,7 +226,6 @@ def test_ln_prime_bounds_contain_ln_p():
         if m > 20:  # an interval on ln m bounds ln p_m for every m inside it
             lo, hi = _ln_prime_bounds(log(m) - 1e-3, log(m) + 1e-3)
             assert lo <= x <= hi, m
-    assert _ln_prime_bounds(log(19), log(10**6)) is None
 
 
 def test_apply_merge_star3():
