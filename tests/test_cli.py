@@ -187,12 +187,14 @@ def test_the_least_ceiling_prints_finite_intervals(capsys):
     assert lo < log(886) < hi
 
 
-def test_the_prime_bound_variable_is_not_read():
-    # The ceiling comes from --prime-bound or the library alone.
+@pytest.mark.parametrize("value", ["abc", "1", "281474976710657", "99999999999999999999"])
+def test_the_prime_bound_variable_is_not_read(value):
+    # The ceiling comes from --prime-bound or the library alone: a value
+    # the flag would refuse is ignored.
     proc = subprocess.run(
         [sys.executable, "-m", "matula.cli", "primes", "nth", "5"],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, MATULA_PRIME_BOUND="abc"),
+        env=dict(os.environ, MATULA_PRIME_BOUND=value),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "11\n", "")
 
