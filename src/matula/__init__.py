@@ -55,8 +55,6 @@ _EXPORTS = {
     "min_binary_tree": ("extremal", "min_binary_tree"),
     "params": ("trees", "params"),
     "parse": ("treetext", "parse"),
-    "robin_lower": ("primes", "robin_lower"),
-    "rosser_schoenfeld_upper": ("primes", "rosser_schoenfeld_upper"),
     "serialize": ("treetext", "serialize"),
     "set_default_oracle": ("primes", "set_default_oracle"),
     "star": ("trees", "star"),

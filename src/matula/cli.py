@@ -205,9 +205,8 @@ def _cmd_seq(args):
     from . import extremal
 
     extremal._check_size(args.k_max)
-    trees = list(extremal._family(args.which, args.k_max))  # valued before any exact attempt
-    values = [_value("value", tree) for tree in trees]
-    for k, value in enumerate(values, start=1):
+    for k, tree in enumerate(extremal._family(args.which, args.k_max), start=1):
+        value = _value("value", tree)
         _emit(args, {"k": k, **value}, f"{k}\t{_bare(value)}")
     return 0
 
@@ -227,9 +226,9 @@ def _cmd_primes(args):
 def _verify_lemma1(args):
     from . import extremal
 
-    rows = [(rec, _value("lhs", rec.lhs), _value("rhs", rec.rhs))
-            for rec in extremal.check_caterpillar_inequality(args.k_max)]
-    for rec, lhs, rhs in rows:
+    records = extremal.check_caterpillar_inequality(args.k_max)
+    for rec in records:
+        lhs, rhs = _value("lhs", rec.lhs), _value("rhs", rec.rhs)
         status = "holds" if rec.holds else "VIOLATED"
         suffix = " (equality)" if rec.equality else ""
         _emit(
@@ -238,7 +237,7 @@ def _verify_lemma1(args):
              "holds": rec.holds, "equality": rec.equality},
             f"({rec.k1},{rec.k2}) {_bare(lhs)} <= {_bare(rhs)} {status}{suffix}",
         )
-    return 0 if all(rec.holds for rec, _, _ in rows) else 4
+    return 0 if all(rec.holds for rec in records) else 4
 
 
 def _value(key, tree):
@@ -336,8 +335,12 @@ def _verify_prime_bounds(args):
                 found += [(m, i, p) for m, p, x, y in zip(ms[k:], ps[k:], big, small) if x > y]
         for m, i, p in sorted(found):
             failures += _violation(args, m, p, primes._BOUNDS[i].name)
-    lower_of_last = _six_figures(primes.robin_lower(m_max))
-    upper_of_last = _six_figures(primes.rosser_schoenfeld_upper(max(m_max, 20)))
+    # Robin's lower bound (row 0) at m_max and Rosser and Schoenfeld's upper
+    # bound (row 1) at m_max, or at m = 20, where it starts to hold.
+    lower_of_last, upper_of_last = (
+        _six_figures(m * primes._factors(row, [log(m)], [log(log(m))])[0])
+        for row, m in zip(primes._BOUNDS, (m_max, max(m_max, 20)))
+    )
     _emit(
         args,
         {

@@ -2,10 +2,10 @@
 the extremal claims.
 
 Two families of extremal binary trees drive everything here.  ``_family``
-builds each once by its split rule (a, b): T_1 is the leaf, T_k is
-join(T_a, T_b), valued as it is built, and the members share their nodes.
-The constructors return the last member, and each sequence reads
-``matula_number`` off every member:
+builds each once by its split rule (a, b): T_1 is the leaf, T_k has the
+branches T_a and T_b in that order, each member is valued as it is built,
+and the members share their nodes.  The constructors return the last
+member, and each sequence reads ``matula_number`` off every member:
 
 * the binary caterpillar C_k, whose Matula numbers q satisfy q_1 = 1 and
   q_k = 2 p_{q_{k-1}}; it is the unique maximum over topological trees
@@ -36,8 +36,8 @@ from .errors import BadSize, DomainError, IndexOutOfRange, SizeTooLarge
 from .trees import Tree, TreeClass, compare_matula, join, leaf, ln_bounds, matula_number
 
 # Largest size of the certificate, the sequences and the inequality.  At
-# 300 the slowest, the star claim (tree work grows as n^3), takes 5 to 6 s
-# in a fresh process on 2 CPUs, and Lemma 1's 22500 instances about 1.3 s.
+# 300 the slowest, the star claim (tree work grows as n^3), takes 4 to 6.5 s
+# in a fresh process on 2 CPUs, and Lemma 1's 22500 instances about 1 s.
 SIZE_CAP = 300
 
 
@@ -56,9 +56,9 @@ def min_binary_numbers(k_max: int):
 
 
 def _numbers(which, k_max):
-    """The Matula numbers of ``_family(which, k_max)``, each read off its tree
-    before the next is built, so that a refusal names the first k whose
-    number needs a prime past the ceiling, not a later join that does."""
+    """The Matula numbers of ``_family(which, k_max)``, read off in order, so
+    that a refusal names the first k whose number needs a prime past the
+    ceiling."""
     _check_size(k_max)
     values = []
     for k, tree in enumerate(_family(which, k_max), start=1):
@@ -92,31 +92,27 @@ _SPLITS = {"q": lambda k: (1, k - 1), "l": _balanced_split}
 
 
 def _family(which, n):
-    """T_1 .. T_n of the family ``which``, each valued and yielded as it is
-    built.  A join orders its branches by exact numbers when their bounds
-    overlap, which may need a prime past the ceiling, so members come one
-    at a time for readers that must name the first refused k.  Readers that
-    print bounds build all before any exact attempt, so that no member's
-    bounds depend on those attempts."""
+    """[T_1 .. T_n] of the family ``which``, each valued as it is built.
+    T_{k+1} is T_k with one leaf made a cherry, so M(T_k) increases with k
+    and each split a <= b is already in canonical order."""
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     trees = [None, leaf()]
-    yield trees[1]
     for k in range(2, n + 1):
         a, b = _SPLITS[which](k)
-        trees.append(join(trees[a], trees[b]))
+        trees.append(Tree((trees[a], trees[b])))
         ln_bounds(trees[-1])
-        yield trees[-1]
+    return trees[1:]
 
 
 def binary_caterpillar(n: int) -> Tree:
     """The n-leaf binary caterpillar: internal vertices form a root path."""
-    return list(_family("q", n))[-1]
+    return _family("q", n)[-1]
 
 
 def min_binary_tree(k: int) -> Tree:
     """The balanced k-leaf binary tree (conjectured Matula minimum)."""
-    return list(_family("l", k))[-1]
+    return _family("l", k)[-1]
 
 
 def gi_max_tree(n: int) -> Tree:
@@ -152,7 +148,7 @@ def check_caterpillar_inequality(k_max: int):
     records = []
     for k1 in range(1, k_max):
         for k2 in range(k1, k_max - k1 + 1):
-            lhs = join(caterpillars[k1], caterpillars[k2])
+            lhs = Tree((caterpillars[k1], caterpillars[k2]))  # q_k1 <= q_k2
             rhs = caterpillars[k1 + k2]
             order = compare_matula(lhs, rhs)
             records.append(InequalityRecord(k1, k2, lhs, rhs, order <= 0, order == 0))

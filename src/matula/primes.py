@@ -133,24 +133,6 @@ def _factors(row, ln_ms, ln_ln_ms):
     return [x + y - 1 + (y - c) / x if second else x + y - c for x, y in zip(ln_ms, ln_ln_ms)]
 
 
-def robin_lower(m):
-    """Robin's lower bound on the m-th prime, the ``lower`` row of ``_BOUNDS``.
-
-    Rigorous for every integer m >= 2 (at m = 2 the value is negative but
-    still a valid lower bound).
-    """
-    if m < 2:
-        raise DomainError(f"robin_lower needs m >= 2, got {m}")
-    return m * _factors(_BOUNDS[0], [log(m)], [log(log(m))])[0]
-
-
-def rosser_schoenfeld_upper(m):
-    """Rosser-Schoenfeld upper bound on the m-th prime, valid for m >= 20."""
-    if m < 20:
-        raise DomainError(f"rosser_schoenfeld_upper needs m >= 20, got {m}")
-    return m * _factors(_BOUNDS[1], [log(m)], [log(log(m))])[0]
-
-
 @lru_cache(maxsize=1 << 12)
 def _ln_prime_bounds(lo, hi):
     """The tightest bounds (lower, upper) on ln p_m for every m with lo <= ln m

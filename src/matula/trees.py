@@ -13,9 +13,6 @@ Nodes compare by exact numbers, else by disjoint bounds; only overlapping
 bounds of different trees fall back to exact numbers through the oracle,
 which can raise IndexOutOfRange for astronomically deep inputs.  That
 failure is deliberate and loud.  No walk over a tree recurses.
-
-``join`` values the branches it orders, so the extremal families, each
-built once by its split rule in ``extremal``, are valued as they are built.
 """
 
 from collections import namedtuple

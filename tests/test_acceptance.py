@@ -22,8 +22,7 @@ from matula import (
     min_binary_numbers,
     min_binary_tree,
     parse,
-    robin_lower,
-    rosser_schoenfeld_upper,
+    primes,
     star,
 )
 
@@ -160,18 +159,22 @@ def test_c07_min_binary_certified():
 
 
 def test_c08_prime_bounds(oracle):
+    def bounds(ms):
+        """Rows 0 and 1 of the proven bounds at each m: Robin's lower bound
+        on p_m and Rosser and Schoenfeld's upper one, valid from m = 20."""
+        ln_ms = list(map(math.log, ms))
+        ln_ln_ms = list(map(math.log, ln_ms))
+        return [[m * f for m, f in zip(ms, primes._factors(row, ln_ms, ln_ln_ms))]
+                for row in primes._BOUNDS[:2]]
+
     start = time.perf_counter()
     table = list(oracle.primes_up_to_index(10**6))
-    ok = True
-    for m in range(2, 10**6 + 1):
-        p = table[m - 1]
-        if robin_lower(m) > p:
-            ok = False
-        if m >= 20 and p > rosser_schoenfeld_upper(m):
-            ok = False
+    ms = range(2, 10**6 + 1)
+    lows, highs = bounds(ms)
+    ok = all(low <= table[m - 1] for m, low in zip(ms, lows))
+    ok = ok and all(table[m - 1] <= high for m, high in zip(ms, highs) if m >= 20)
     big = 32078140605053
-    lower = robin_lower(big)
-    upper = rosser_schoenfeld_upper(big)
+    (lower,), (upper,) = bounds([big])
     ok = ok and math.isclose(lower, 1.07555e15, rel_tol=1e-4)
     ok = ok and math.isclose(upper, 1.09182e15, rel_tol=1e-4)
     elapsed = time.perf_counter() - start

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matula import TreeClass, binary_caterpillar, cli, encode, extremal, min_binary_tree, primes
+from matula import (
+    TreeClass,
+    binary_caterpillar,
+    cli,
+    encode,
+    extremal,
+    min_binary_numbers,
+    min_binary_tree,
+    primes,
+)
 
 from oracles import caterpillar_ln_intervals
 
@@ -319,6 +328,22 @@ def test_a_balanced_tree_past_the_ceiling_prints_one_interval(capsys):
         code, out, _ = run_cli(capsys, *_DEFAULT, "verify", "min-binary", "--leaves", str(k))
         assert code == 0 and out.endswith(" ok\n")
         assert _interval(out.split()[1], "ln_minimum") == interval, k
+
+
+def test_seq_l_prints_every_row_under_a_small_ceiling(capsys):
+    # Under 100 the bounds of B_63 and B_64 overlap, and their exact numbers
+    # need p_49 = 227.  The family is built in its proven branch order, so
+    # they are never compared: every row prints, and rows 1 to 20 hold ln l_k.
+    exact = min_binary_numbers(20)  # under the default ceiling 2^32
+    code, out, _ = run_cli(capsys, "--prime-bound", "100", "seq", "l", "--max", "300")
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert code == 0 and [k for k, _ in rows] == [str(k) for k in range(1, 301)]
+    for (k, value), l_k in zip(rows, exact):
+        if value.startswith("ln_value="):
+            lo, hi = _interval(value, "ln_value")
+            assert lo <= log(l_k) <= hi, k
+        else:
+            assert int(value) == l_k, k
 
 
 def _distinct_nodes(trees):

@@ -12,6 +12,7 @@ from matula import (
     binary_caterpillar,
     caterpillar_numbers,
     check_caterpillar_inequality,
+    compare_matula,
     decode,
     encode,
     extremal_tree,
@@ -52,9 +53,8 @@ def test_caterpillar_numbers_out_of_range_reports_k(ceiling):
 
 def test_numbers_report_k_under_a_tiny_ceiling(ceiling):
     # Under 100, q_5 = 2 p_86 needs p_86 = 443 and l_6 = p_4 p_49 needs
-    # p_49 = 227.  Building the balanced family on to k = 127 raises in the
-    # join of B_63 and B_64, whose bounds overlap, also at index 49; the
-    # first refused member still names its k.
+    # p_49 = 227; each refusal names the first k whose number needs a prime
+    # past the ceiling.
     ceiling(100)
     for numbers, k, index in ((caterpillar_numbers, 5, 86), (min_binary_numbers, 6, 49)):
         with pytest.raises(IndexOutOfRange) as err:
@@ -99,13 +99,17 @@ def test_min_binary_tree_encodes_to_sequence():
 @pytest.mark.parametrize("which, split", [("q", lambda k: (1, k - 1)), ("l", extremal._balanced_split)])
 def test_each_family_is_one_node_shared_list(which, split):
     # Every branch is an earlier member itself, so 300 members are 300 nodes.
-    family = list(extremal._family(which, 300))
-    assert len({id(tree) for tree in family}) == 300 and family[0] is leaf()
+    # join, which orders the branches by comparing them, is a second route
+    # to the proven order: M(T_k) increases with k, so a <= b is canonical.
+    family = extremal._family(which, extremal.SIZE_CAP)
+    assert len({id(tree) for tree in family}) == extremal.SIZE_CAP and family[0] is leaf()
     for k, tree in enumerate(family[1:], start=2):
         a, b = split(k)
-        assert sorted(map(id, tree.children)) == sorted((id(family[a - 1]), id(family[b - 1])))
+        assert list(map(id, tree.children)) == [id(family[a - 1]), id(family[b - 1])]
+        assert a <= b and tree == join(family[a - 1], family[b - 1]), k
+        assert compare_matula(family[k - 2], tree) == -1, k
     constructor = binary_caterpillar if which == "q" else min_binary_tree
-    assert constructor(300) == family[-1]
+    assert constructor(extremal.SIZE_CAP) == family[-1]
 
 
 def test_gi_max_tree_values():
@@ -151,6 +155,15 @@ def test_inequality_lhs_matches_direct_primes(oracle):
         direct = oracle.nth_prime(q[rec.k1 - 1]) * oracle.nth_prime(q[rec.k2 - 1])
         assert encode(rec.lhs) == direct
         assert encode(rec.rhs) == q[rec.k1 + rec.k2 - 1]
+
+
+def test_inequality_sides_are_joins_of_caterpillars():
+    # q increases, so the left side (C_k1, C_k2), k1 <= k2, is canonical as
+    # built; join orders the same branches by comparing them.
+    caterpillars = [None, *extremal._family("q", 64)]
+    for rec in check_caterpillar_inequality(64):
+        assert rec.lhs == join(caterpillars[rec.k1], caterpillars[rec.k2]), rec[:2]
+        assert rec.rhs == caterpillars[rec.k1 + rec.k2]
 
 
 def test_inequality_agrees_with_the_oracle_intervals():

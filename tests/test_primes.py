@@ -10,7 +10,6 @@ from math import isqrt
 import pytest
 
 from matula import (
-    DomainError,
     FactorOutOfRange,
     IndexOutOfRange,
     MatulaError,
@@ -18,8 +17,6 @@ from matula import (
     PrimeOracle,
     ValueOutOfRange,
     is_prime_certified,
-    robin_lower,
-    rosser_schoenfeld_upper,
 )
 from matula import _sieve_py, primes
 
@@ -131,27 +128,26 @@ def test_is_prime_certified_against_sieve():
     assert not is_prime_certified(2**67 - 1)
 
 
+def _bound(row, m):
+    """The bound on p_m of ``_BOUNDS[row]``."""
+    return m * primes._factors(primes._BOUNDS[row], [math.log(m)], [math.log(math.log(m))])[0]
+
+
 def test_robin_lower_values():
-    assert math.isclose(robin_lower(2), -1.3612572800434, rel_tol=1e-10)
+    # Row 0 is Robin's lower bound, row 1 Rosser and Schoenfeld's upper one.
+    assert math.isclose(_bound(0, 2), -1.3612572800434, rel_tol=1e-10)
     big = 32078140605053
-    assert math.isclose(robin_lower(big), 1.075552e15, rel_tol=1e-4)
-    assert math.isclose(rosser_schoenfeld_upper(big), 1.091824e15, rel_tol=1e-4)
-
-
-def test_bound_domain_errors():
-    with pytest.raises(DomainError):
-        robin_lower(1)
-    with pytest.raises(DomainError):
-        rosser_schoenfeld_upper(19)
-    assert rosser_schoenfeld_upper(20) >= 71  # p_20 = 71
+    assert math.isclose(_bound(0, big), 1.075552e15, rel_tol=1e-4)
+    assert math.isclose(_bound(1, big), 1.091824e15, rel_tol=1e-4)
+    assert _bound(1, 20) >= 71  # p_20 = 71
 
 
 def test_bounds_bracket_primes(oracle):
     for m in range(2, 50_000):
         p = oracle.nth_prime(m)
-        assert robin_lower(m) <= p
+        assert _bound(0, m) <= p
         if m >= 20:
-            assert p <= rosser_schoenfeld_upper(m)
+            assert p <= _bound(1, m)
 
 
 def test_index_out_of_range_carries_index():
