@@ -27,11 +27,7 @@ def encode(t: Tree) -> int:
 
 
 def decode(n: int) -> Tree:
-    """The unique canonical tree whose Matula number is n.
-
-    Range errors from the oracle are re-raised with a ``path`` attribute,
-    the chain of Matula numbers from n down to the failing level.
-    """
+    """The unique canonical tree whose Matula number is n."""
     if n < 1:
         raise MatulaError(f"Matula numbers start at 1, got {n}")
     return _decode(n)
@@ -46,14 +42,10 @@ def _decode(n):
     if n == 1:
         result = leaf()
     else:
-        try:
-            children = []
-            for p, exponent in oracle.factorize(n):
-                child = _decode(oracle.prime_index(p))
-                children.extend([child] * exponent)
-        except MatulaError as exc:
-            exc.path = [n] + list(getattr(exc, "path", []))
-            raise
+        children = []
+        for p, exponent in oracle.factorize(n):
+            child = _decode(oracle.prime_index(p))
+            children.extend([child] * exponent)
         # Factors come out ascending, hence so do the children's Matula
         # numbers: the tuple is already canonical.
         result = Tree(children, _matula=n)

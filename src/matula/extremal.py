@@ -3,9 +3,10 @@ the extremal claims.
 
 Two families of extremal binary trees drive everything here.  ``_family``
 builds each once by its split rule (a, b): T_1 is the leaf, T_k has the
-branches T_a and T_b in that order, each member is valued as it is built,
-and the members share their nodes.  The constructors return the last
-member, and each sequence reads ``matula_number`` off every member:
+branches T_a and T_b in that order, and the members share their nodes.
+Each member, like every tree, is valued once, under the oracle in force
+when it is built.  The constructors return the last member, and each
+sequence reads ``matula_number`` off every member:
 
 * the binary caterpillar C_k, whose Matula numbers q satisfy q_1 = 1 and
   q_k = 2 p_{q_{k-1}}; it is the unique maximum over topological trees
@@ -33,11 +34,11 @@ bounds overlap.
 from collections import namedtuple
 
 from .errors import BadSize, DomainError, IndexOutOfRange, SizeTooLarge
-from .trees import Tree, TreeClass, compare_matula, join, leaf, ln_bounds, matula_number
+from .trees import Tree, TreeClass, compare_matula, join, leaf, matula_number
 
 # Largest size of the certificate, the sequences and the inequality.  At
-# 300 the slowest, the star claim (tree work grows as n^3), takes 4 to 6.5 s
-# in a fresh process on 2 CPUs, and Lemma 1's 22500 instances about 1 s.
+# 300 the slowest, the star claim (tree work grows as n^3), takes 3.5 to
+# 4.5 s in a fresh process on 2 CPUs, and Lemma 1's 22500 instances 1 s.
 SIZE_CAP = 300
 
 
@@ -92,16 +93,16 @@ _SPLITS = {"q": lambda k: (1, k - 1), "l": _balanced_split}
 
 
 def _family(which, n):
-    """[T_1 .. T_n] of the family ``which``, each valued as it is built.
-    T_{k+1} is T_k with one leaf made a cherry, so M(T_k) increases with k
-    and each split a <= b is already in canonical order."""
+    """[T_1 .. T_n] of the family ``which``, each valued once, like every
+    tree, under the oracle in force when it is built.  T_{k+1} is T_k with
+    one leaf made a cherry, so M(T_k) increases with k and each split
+    a <= b is already in canonical order."""
     if n < 1:
         raise DomainError(f"size must be >= 1, got {n}")
     trees = [None, leaf()]
     for k in range(2, n + 1):
         a, b = _SPLITS[which](k)
         trees.append(Tree((trees[a], trees[b])))
-        ln_bounds(trees[-1])
     return trees[1:]
 
 

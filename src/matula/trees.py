@@ -5,14 +5,14 @@ of its child subtrees, kept in canonical order (ascending Matula number).
 Canonical order makes structural equality coincide with rooted-tree
 isomorphism, so deduplication and serialization are trivial downstream.
 
-Ordering by Matula number is arithmetic, not structural.  Each node compared
-gets one value, once: its exact Matula number while the prime of every
-branch number lies in the shared oracle's sieved prefix, else rigorous
-bounds on ln M from the proven bounds on p_m in ``primes._BOUNDS``.
-Nodes compare by exact numbers, else by disjoint bounds; only overlapping
-bounds of different trees fall back to exact numbers through the oracle,
-which can raise IndexOutOfRange for astronomically deep inputs.  That
-failure is deliberate and loud.  No walk over a tree recurses.
+Ordering by Matula number is arithmetic, not structural.  Every tree is
+valued once, when it is built, under the oracle in force then: its exact
+Matula number while the prime of every branch number lies in that oracle's
+sieved prefix, else rigorous bounds on ln M from the proven bounds on p_m
+in ``primes._BOUNDS``.  Nodes compare by exact numbers, else by disjoint
+bounds; overlapping bounds of different trees fall back to ``matula_number``,
+the one walk, which can raise IndexOutOfRange for astronomically deep
+inputs.  That failure is deliberate and loud.  No walk over a tree recurses.
 """
 
 from collections import namedtuple
@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cmp_to_key
 from math import log, prod
 
-from .errors import DomainError, TooFewBranches
+from .errors import DomainError, IndexOutOfRange, TooFewBranches
 from .primes import _WIDEN, _ln_prime_bounds, default_oracle
 
 
@@ -31,11 +31,32 @@ class Tree:
 
     def __init__(self, children=(), _matula=None):
         # Callers must pass children already in canonical order; the public
-        # constructors below do.  Kept cheap because enumeration is hot.
+        # constructors below do.  Kept cheap because enumeration is hot.  Each
+        # node is valued here, once; decode's trees and the leaf need no oracle.
         self.children = tuple(children)
         self._mnum = _matula if _matula is not None else (1 if not children else None)
         self._lnm = None  # bounds (lo, hi) on ln M when _mnum is not known
         self._hash = hash(self.children)
+        if self._mnum is None:
+            self._value()
+
+    def _value(self):
+        """Set the number while the prime of every branch number lies in the
+        sieved prefix, else bounds on ln M from the branches' values."""
+        get_prime = default_oracle()._prefix_prime
+        primes = [None if c._mnum is None else get_prime(c._mnum) for c in self.children]
+        if None not in primes:
+            self._mnum = prod(primes)
+            return
+        lo = hi = 0.0
+        for child, p in zip(self.children, primes):
+            if p is None:
+                plo, phi = _ln_prime_bounds(*ln_bounds(child))
+            else:
+                plo = phi = log(p)
+            lo += plo
+            hi += phi
+        self._lnm = (lo * (1 - _WIDEN), hi * (1 + _WIDEN))
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -63,42 +84,9 @@ class Tree:
 _LEAF = Tree()
 
 
-def _fill(t, exact):
-    """Give t and each node under it that lacks one a value, children
-    first, from an explicit stack: the Matula number if ``exact``, else the
-    number while every branch prime lies in the sieved prefix, else bounds
-    on ln M."""
-    oracle = default_oracle()
-    get_prime = oracle.nth_prime if exact else oracle._prefix_prime
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node._mnum is not None or not exact and node._lnm is not None:
-            continue
-        if exact:  # a refusal leaves the node to refill from exact branches
-            node._lnm = None
-        todo = [c for c in node.children if c._mnum is None and (exact or c._lnm is None)]
-        if todo:
-            stack.append(node)
-            stack.extend(reversed(todo))
-            continue
-        primes = [None if c._mnum is None else get_prime(c._mnum) for c in node.children]
-        if None not in primes:
-            node._mnum = prod(primes)
-            continue
-        lo = hi = 0.0
-        for child, p in zip(node.children, primes):
-            if p is None:
-                plo, phi = _ln_prime_bounds(*_ln_bounds(child))
-            else:
-                plo = phi = log(p)
-            lo += plo
-            hi += phi
-        node._lnm = (lo * (1 - _WIDEN), hi * (1 + _WIDEN))
-
-
-def _ln_bounds(t):
-    """Bounds (lo, hi) on ln M(t) for a node that has a value."""
+def ln_bounds(t: Tree):
+    """Rigorous bounds (lo, hi) on ln M(t): from its number, else the bounds
+    it was valued with; no prime is computed."""
     m = t._mnum
     if m is None:
         return t._lnm
@@ -112,18 +100,31 @@ def matula_number(t: Tree) -> int:
     Memoized on the nodes themselves, so structurally shared subtrees are
     encoded once.  Raises IndexOutOfRange when some subtree's number exceeds
     the shared oracle's answerable index range; the exception's ``index``
-    attribute is that subtree's Matula number.
+    attribute is that subtree's Matula number.  The nodes left without a
+    number are then valued again from their branches, some now exact.
     """
-    if t._mnum is None:
-        _fill(t, exact=True)
+    if t._mnum is not None:
+        return t._mnum
+    nth_prime = default_oracle().nth_prime
+    # Children first, from an explicit stack; a node stays on it until its
+    # number is set, so a refusal leaves every node it opened there.
+    stack = [t]
+    try:
+        while stack:
+            node = stack[-1]
+            todo = [c for c in node.children if c._mnum is None]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            if node._mnum is None:
+                node._mnum = prod(nth_prime(c._mnum) for c in node.children)
+            stack.pop()
+    except IndexOutOfRange:
+        for node in reversed(stack):  # each node's children lie above it
+            if node._mnum is None:
+                node._value()
+        raise
     return t._mnum
-
-
-def ln_bounds(t: Tree):
-    """Rigorous bounds (lo, hi) on ln M(t), from primes in the sieved prefix
-    and bounds on p_m past it; no prime past the prefix is computed."""
-    _fill(t, exact=False)
-    return _ln_bounds(t)
 
 
 def compare_matula(a: Tree, b: Tree) -> int:
@@ -131,11 +132,8 @@ def compare_matula(a: Tree, b: Tree) -> int:
     if a is b:
         return 0
     if a._mnum is None or b._mnum is None:
-        _fill(a, exact=False)
-        _fill(b, exact=False)
-    if a._mnum is None or b._mnum is None:
-        alo, ahi = _ln_bounds(a)
-        blo, bhi = _ln_bounds(b)
+        alo, ahi = ln_bounds(a)
+        blo, bhi = ln_bounds(b)
         if ahi < blo:
             return -1
         if alo > bhi:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from matula import (
     EnumSpec,
+    FactorOutOfRange,
     IndexOutOfRange,
     MatulaError,
     Tree,
@@ -132,12 +133,12 @@ def test_encode_reports_the_leftmost_infeasible_branch(ceiling):
     assert err.value.index == 31
 
 
-def test_decode_range_error_carries_path(ceiling):
+def test_decode_range_error_names_the_cofactor(ceiling):
     ceiling(100)
-    # 101 is prime and exceeds the ceiling, so its index is unanswerable.
-    with pytest.raises(MatulaError) as err:
+    # 101 is prime and exceeds the ceiling, so 101^2 cannot be split.
+    with pytest.raises(FactorOutOfRange) as err:
         decode(2 * 101**2)
-    assert getattr(err.value, "path", None) == [2 * 101**2]
+    assert (err.value.value, err.value.cofactor) == (2 * 101**2, 101**2)
 
 
 def test_decode_memo_keeps_range_errors_history_independent(ceiling):

@@ -10,6 +10,7 @@ from matula import (
     DomainError,
     IndexOutOfRange,
     TooFewBranches,
+    Tree,
     TreeClass,
     apply_merge,
     binary_caterpillar,
@@ -25,7 +26,7 @@ from matula import (
 )
 from matula.codec import decode
 from matula.primes import _ln_prime_bounds
-from matula.trees import _WIDEN, _ln_bounds, ln_bounds, matula_number
+from matula.trees import _WIDEN, ln_bounds, matula_number
 
 from oracles import MonolithicSieve, bfs_params
 
@@ -139,8 +140,9 @@ def _sign(x, y):
 
 
 def test_compare_matula_agrees_with_encode_on_uncached_trees():
-    # parse builds every node by join, so the roots compared here carry no
-    # cached number; each pair is compared on freshly parsed trees.
+    # parse builds every node by join, and each node is valued once, when it
+    # is built; each pair is compared on freshly parsed trees, whose values
+    # come from no earlier comparison.
     numbers = list(range(1, 60)) + [360, 1234, 99991, 2**8 * 3**4 * 43, 10**6 + 3]
     texts = {n: serialize(decode(n)) for n in numbers}
     for x in numbers:
@@ -162,7 +164,7 @@ def test_compare_matula_past_the_prefix():
     trees += [star(30), decode(10**6 + 3)]
     got = {(i, j): compare_matula(a, b) for i, a in enumerate(trees) for j, b in enumerate(trees)}
     assert all(t._mnum is None for t in trees[:-2])  # no exact fallback ran
-    bounds = [_ln_bounds(t) for t in trees]
+    bounds = [ln_bounds(t) for t in trees]
     numbers = [encode(t) for t in trees]
     for (i, j), c in got.items():
         assert c == _sign(numbers[i], numbers[j]), (i, j)
@@ -198,6 +200,31 @@ def test_a_refused_exact_number_leaves_no_stale_bounds(ceiling):
     assert matula_number(c9) == 300427382
     assert ln_bounds(join(leaf(), c9)) == narrow
     assert narrow[1] - narrow[0] < (hi - lo) / 2
+
+
+def test_a_tree_is_valued_when_it_is_built(ceiling):
+    ceiling(2**32)
+    c10 = binary_caterpillar(10)
+    built = [join(leaf(), c10), parse("((*,*),*,(*,(*,*)))"), star(5), Tree((leaf(), c10))]
+    for t in built:
+        assert t._mnum is not None or t._lnm is not None, t
+
+
+def test_a_read_never_revalues_a_tree(ceiling):
+    # A refused exact attempt on C_10 narrows C_10's own bounds, but a tree
+    # built on C_10 before it keeps the bounds it was born with, first read
+    # or not: those of a twin read at once.
+    ceiling(2**32)
+    c10 = binary_caterpillar(10)
+    t1 = join(leaf(), c10)
+    born = ln_bounds(join(leaf(), c10))
+    with pytest.raises(IndexOutOfRange):
+        matula_number(c10)
+    assert ln_bounds(t1) == born
+    t2 = join(leaf(), c10)
+    lo, hi = ln_bounds(t2)
+    assert t2 == t1
+    assert born[0] < lo and hi < born[1]
 
 
 def test_deep_trees_compare_without_recursion():
