@@ -17,10 +17,8 @@ __version__ = "0.1.0"
 
 # Public name -> (module, attribute).
 _EXPORTS = {
-    "BadSize": ("errors", "BadSize"),
     "DEFAULT_CAPS": ("enumerator", "DEFAULT_CAPS"),
     "DomainError": ("errors", "DomainError"),
-    "EnumSpec": ("enumerator", "EnumSpec"),
     "FactorOutOfRange": ("errors", "FactorOutOfRange"),
     "IndexOutOfRange": ("errors", "IndexOutOfRange"),
     "InequalityRecord": ("extremal", "InequalityRecord"),

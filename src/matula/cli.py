@@ -15,13 +15,13 @@ import argparse
 import signal
 import sys
 from contextlib import suppress
+from functools import partial
 from math import log
 
 # Each command imports the layers it calls, so a fresh process loads only
 # those: a prime query never loads the tree layers.
 from . import primes
 from .errors import (
-    BadSize,
     DomainError,
     FactorOutOfRange,
     IndexOutOfRange,
@@ -178,20 +178,22 @@ def _cmd_params(args):
 def _cmd_enumerate(args):
     from . import treetext
     from .codec import encode
-    from .enumerator import EnumSpec, count_trees, enumerate_trees
+    from .enumerator import count_trees, enumerate_trees
     from .trees import TreeClass
 
     tree_class = TreeClass(args.tree_class)
     kind, other = ("leaves", "vertices") if args.leaves is not None else ("vertices", "leaves")
     if getattr(args, f"max_{other}") is not None:
         raise DomainError(f"--max-{other} does not apply to --{kind}; use --max-{kind}")
-    spec = EnumSpec(tree_class, kind, getattr(args, kind))
-    cap = getattr(args, f"max_{kind}")
+    expected = "vertices" if tree_class is TreeClass.ROOTED else "leaves"
+    if kind != expected:
+        raise DomainError(f"{tree_class.value} trees are sized by {expected}, not {kind}")
+    size, cap = getattr(args, kind), getattr(args, f"max_{kind}")
     if args.count:
-        n = count_trees(spec, cap)
+        n = count_trees(tree_class, size, cap)
         _emit(args, {"count": str(n)}, str(n))
         return 0
-    for t in enumerate_trees(spec, cap):
+    for t in enumerate_trees(tree_class, size, cap):
         text = treetext.serialize(t)
         if args.with_matula:
             m = encode(t)
@@ -270,35 +272,42 @@ def _verdict(args, fields, ok):
     return 0 if ok else 4
 
 
-def _topological_star(n):
+def _topological_stars(n):
+    """[S_2 .. S_n], the topological stars of 2 to n leaves."""
     from .trees import star
 
     if n < 2:
-        raise BadSize(f"a topological star needs n >= 2 leaves, got {n}")
-    return star(n)
+        raise DomainError(f"a topological star needs n >= 2 leaves, got {n}")
+    return [star(s) for s in range(2, n + 1)]
 
 
 def _verify_claim(args):
-    """Certify the claimed tree by the branch-size dynamic program; print
-    its exact number while that is feasible, else its bounds on ln M."""
+    """Certify the claim at every size up to the requested one by the
+    branch-size dynamic program.  Print the requested size, or the first
+    size whose claim fails, with the certified tree's exact number while
+    that is feasible, else its bounds on ln M."""
     from . import extremal, treetext
     from .trees import TreeClass
 
-    # verb -> (tree class, size flag, maximum?, the claimed extremal tree)
-    tree_class, flag, maximum, claim = {
-        "max-topological": (TreeClass.TOPOLOGICAL, "leaves", True, extremal.binary_caterpillar),
-        "min-topological": (TreeClass.TOPOLOGICAL, "leaves", False, _topological_star),
-        "gi-max": (TreeClass.ROOTED, "vertices", True, extremal.gi_max_tree),
-        "min-binary": (TreeClass.BINARY, "leaves", False, extremal.min_binary_tree),
+    # verb -> (tree class, size flag, maximum?, the claimed extremal trees
+    # from the claim's least size up to a given one)
+    tree_class, flag, maximum, claims = {
+        "max-topological": (TreeClass.TOPOLOGICAL, "leaves", True, partial(extremal._family, "q")),
+        "min-topological": (TreeClass.TOPOLOGICAL, "leaves", False, _topological_stars),
+        "gi-max": (TreeClass.ROOTED, "vertices", True, extremal._gi_trees),
+        "min-binary": (TreeClass.BINARY, "leaves", False, partial(extremal._family, "l")),
     }[args.verb]
     n = getattr(args, flag)
-    found = extremal.extremal_tree(tree_class, n, maximum)
-    expected = claim(n)
+    levels = extremal._levels(tree_class, n, maximum)  # refuses a bad n first
+    claimed = claims(n)
+    least = n - len(claimed) + 1
+    wrong = [s for s, tree in enumerate(claimed, start=least) if levels[s - 1] != tree]
+    s = wrong[0] if wrong else n
     return _verdict(args, {
-        flag: n,
-        **_value("maximum" if maximum else "minimum", found),
-        "witness": treetext.serialize(found),
-    }, found == expected)
+        flag: s,
+        **_value("maximum" if maximum else "minimum", levels[s - 1]),
+        "witness": treetext.serialize(levels[s - 1]),
+    }, not wrong)
 
 
 def _violation(args, m, p, bound):

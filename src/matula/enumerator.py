@@ -8,7 +8,7 @@ isomorphic duplicates at the source instead of filtering them afterwards.
 giving an arithmetic cross-check that never materializes a tree.  Nothing
 here recurses, and the pools and counts of smaller sizes belong to one call.
 
-Supported (class, size) readings:
+A size is a plain integer, and the tree class fixes what it counts:
 
 * topological trees by leaf count (no vertex of outdegree 1),
 * binary trees by leaf count (every outdegree 0 or 2),
@@ -22,7 +22,6 @@ independent, so callers wanting parallelism can safely split on them (trees
 are immutable values).
 """
 
-from collections import namedtuple
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from .errors import DomainError, SizeTooLarge
@@ -35,34 +34,16 @@ DEFAULT_CAPS = {
     TreeClass.ROOTED: 14,
 }
 
-_SIZE_KINDS = {
-    TreeClass.TOPOLOGICAL: "leaves",
-    TreeClass.BINARY: "leaves",
-    TreeClass.ROOTED: "vertices",
-}
 
-
-class EnumSpec(namedtuple("EnumSpec", "tree_class size_kind size")):
-    """What to enumerate: a tree class, a size measure, and the size."""
-
-    __slots__ = ()
-
-
-def _validate(spec: EnumSpec, cap=None):
-    expected = _SIZE_KINDS[spec.tree_class]
-    if spec.size_kind != expected:
-        raise DomainError(
-            f"{spec.tree_class.value} trees are sized by {expected}, "
-            f"not {spec.size_kind}"
-        )
-    if spec.size < 1:
-        raise DomainError(f"size must be >= 1, got {spec.size}")
-    limit = cap if cap is not None else DEFAULT_CAPS[spec.tree_class]
-    if spec.size > limit:
+def _validate(tree_class, size, cap=None):
+    if size < 1:
+        raise DomainError(f"size must be >= 1, got {size}")
+    limit = cap if cap is not None else DEFAULT_CAPS[tree_class]
+    if size > limit:
         raise SizeTooLarge(
-            f"{spec.tree_class.value} size {spec.size} exceeds cap {limit} "
+            f"{tree_class.value} size {size} exceeds cap {limit} "
             f"(pass a higher cap to override)",
-            size=spec.size,
+            size=size,
             cap=limit,
         )
 
@@ -105,51 +86,50 @@ def _pool(tree_class, n, pools):
             yield join(*branches)
 
 
-def enumerate_trees(spec: EnumSpec, cap=None):
-    """Yield every tree of the class/size exactly once, canonically ordered.
-    The pools of smaller trees belong to this call alone."""
-    _validate(spec, cap)
+def enumerate_trees(tree_class: TreeClass, size: int, cap=None):
+    """Yield every tree of the class and size exactly once, canonically
+    ordered.  The pools of smaller trees belong to this call alone."""
+    _validate(tree_class, size, cap)
     pools = {1: (leaf(),)}
-    for n in range(2, spec.size + 1):
-        pools[n] = tuple(_pool(spec.tree_class, n, pools))
-    yield from sorted(pools[spec.size], key=serialize)
+    for n in range(2, size + 1):
+        pools[n] = tuple(_pool(tree_class, n, pools))
+    yield from sorted(pools[size], key=serialize)
 
 
-def count_trees(spec: EnumSpec, cap=None) -> int:
+def count_trees(tree_class: TreeClass, size: int, cap=None) -> int:
     """Number of isomorphism classes, by arithmetic alone in O(n^2) steps.
 
-    Matches len(list(enumerate_trees(spec))) but touches no tree.  Binary
-    trees pair two branch sizes a <= n - a.  The other classes count
-    forests: forests[s], the multisets of trees of total size s, is the
-    Euler transform of trees[k], the trees of size k.  A rooted tree of n
-    vertices is a root over a forest of n - 1 vertices; a topological tree
-    of n leaves is a forest of n leaves with at least two trees, so
-    forests[n] = 2 trees[n].  The counts of smaller sizes belong to this
-    call alone.
+    Matches len(list(enumerate_trees(tree_class, n))) at size n but touches
+    no tree.  Binary trees pair two branch sizes a <= n - a.  The other
+    classes count forests: forests[s], the multisets of trees of total size
+    s, is the Euler transform of trees[k], the trees of size k.  A rooted
+    tree of n vertices is a root over a forest of n - 1 vertices; a
+    topological tree of n leaves is a forest of n leaves with at least two
+    trees, so forests[n] = 2 trees[n].  The counts of smaller sizes belong
+    to this call alone.
     """
-    _validate(spec, cap)
-    n = spec.size
-    if spec.tree_class is TreeClass.BINARY:
+    _validate(tree_class, size, cap)
+    if tree_class is TreeClass.BINARY:
         counts = [0, 1]
-        for s in range(2, n + 1):
+        for s in range(2, size + 1):
             pairs = sum(counts[a] * counts[s - a] for a in range(1, (s + 1) // 2))
             if s % 2 == 0:
                 pairs += counts[s // 2] * (counts[s // 2] + 1) // 2
             counts.append(pairs)
-        return counts[n]
+        return counts[size]
     trees = [0, 1]
     forests = [1]
     # weights[k]: the sum of d * trees[d] over the divisors d of k
     weights = [0]
-    for s in range(1, n + 1):
+    for s in range(1, size + 1):
         tail = sum(weights[k] * forests[s - k] for k in range(1, s))
         below = sum(d * trees[d] for d in range(1, s) if s % d == 0)
         if s > 1:
-            if spec.tree_class is TreeClass.ROOTED:
+            if tree_class is TreeClass.ROOTED:
                 trees.append(forests[s - 1])
             else:
                 # forests[s] = trees[s] + (tail + below) / s = 2 trees[s]
                 trees.append((tail + below) // s)
         weights.append(below + s * trees[s])
         forests.append((tail + weights[s]) // s)
-    return trees[n]
+    return trees[size]

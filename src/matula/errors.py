@@ -53,12 +53,9 @@ class TooFewBranches(MatulaError):
     """The branch-merging transformation needs at least three branches."""
 
 
-class BadSize(MatulaError):
-    """A construction was asked for a size it is not defined for."""
-
-
 class SizeTooLarge(MatulaError):
-    """An enumeration request exceeds the configured anti-explosion cap."""
+    """A size exceeds its cap: the enumerator's anti-explosion cap or the
+    extremal layer's ``SIZE_CAP``."""
 
     def __init__(self, message, size=None, cap=None):
         super().__init__(message)

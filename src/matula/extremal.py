@@ -22,18 +22,20 @@ sequence reads ``matula_number`` off every member:
 of a class and size without enumeration.  Once the sizes of the root's
 branches are fixed, the extremal tree takes the extremal tree of each size
 in every branch, because p_m increases with m and the branches are
-independent.  So a dynamic program over branch sizes is complete.  Trees
-are compared by ``compare_matula`` alone: exact numbers inside the sieved
-prefix, rigorous bounds on ln M past it, and exact numbers when two bounds
-overlap, which raises IndexOutOfRange past the oracle ceiling.  Each scan
-starts from the claimed candidate and compares every rival with the
+independent.  So a dynamic program over branch sizes is complete, and it
+decides every size up to n on its way: ``_levels`` returns them all, so a
+claim is certified at each size, and ``extremal_tree`` returns the last.
+Trees are compared by ``compare_matula`` alone: exact numbers inside the
+sieved prefix, rigorous bounds on ln M past it, and exact numbers when two
+bounds overlap, which raises IndexOutOfRange past the oracle ceiling.  Each
+scan starts from the claimed candidate and compares every rival with the
 incumbent only, so a true claim is never held up by two rivals whose
 bounds overlap.
 """
 
 from collections import namedtuple
 
-from .errors import BadSize, DomainError, IndexOutOfRange, SizeTooLarge
+from .errors import DomainError, IndexOutOfRange, SizeTooLarge
 from .trees import Tree, TreeClass, compare_matula, join, leaf, matula_number
 
 # Largest size of the certificate, the sequences and the inequality.  At
@@ -120,12 +122,17 @@ def gi_max_tree(n: int) -> Tree:
     """The Gutman-Ivic n-vertex tree: a root path on n - 3 vertices with
     three leaves attached to the far endvertex.  It attains the maximum
     Matula number among all rooted trees with n vertices (n >= 5)."""
+    return _gi_trees(n)[-1]
+
+
+def _gi_trees(n):
+    """[G_5 .. G_n], the Gutman-Ivic trees, each the root over the last."""
     if n < 5:
-        raise BadSize(f"the construction needs n >= 5 vertices, got {n}")
-    t = join(leaf(), leaf(), leaf())
-    for _ in range(n - 4):
-        t = join(t)
-    return t
+        raise DomainError(f"the construction needs n >= 5 vertices, got {n}")
+    trees = [Tree((Tree((leaf(),) * 3),))]
+    for _ in range(n - 5):
+        trees.append(Tree((trees[-1],)))
+    return trees
 
 
 class InequalityRecord(namedtuple("InequalityRecord", "k1 k2 lhs rhs holds equality")):
@@ -159,6 +166,14 @@ def check_caterpillar_inequality(k_max: int):
 def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
     """The tree of the class and size with the largest (``maximum``) or the
     smallest Matula number; sizes count leaves, or vertices for rooted trees.
+    Raises SizeTooLarge past ``SIZE_CAP``, and IndexOutOfRange when two
+    candidates' bounds overlap and their exact numbers need a prime past the
+    ceiling."""
+    return _levels(tree_class, n, maximum)[-1]
+
+
+def _levels(tree_class, n, maximum):
+    """[best[1] .. best[n]]: the extremal tree of every size up to n.
 
     With best[s] the extremal tree of size s, level s is one scan over
     best[]: a root over a branch best[k] and the best forest of the rest.
@@ -167,9 +182,7 @@ def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
     t leaves is one tree or the children of a tree of t leaves.  As
     M(join(T)) = p_{M(T)} > M(T), the best is (best[t],) for maxima, which
     makes level s the split join(best[a], best[s - a]) as for binary trees,
-    and best[t].children for minima, or (best[1],) at t = 1.  Raises
-    SizeTooLarge past ``SIZE_CAP``, and IndexOutOfRange when two candidates'
-    bounds overlap and their exact numbers need a prime past the ceiling.
+    and best[t].children for minima, or (best[1],) at t = 1.
     """
     _check_size(n)
     wanted = 1 if maximum else -1
@@ -197,4 +210,4 @@ def extremal_tree(tree_class: TreeClass, n: int, maximum: bool) -> Tree:
         else:
             candidates = ((best[k], *(best[s - k].children or (best[1],))) for k in range(1, s))
             best.append(best_of(candidates))
-    return best[n]
+    return best[1:]

@@ -180,12 +180,12 @@ def wedderburn_etherington(n):
 Scan = namedtuple("Scan", "optimum witness examined")
 
 
-def exhaustive_extremum(spec, maximum):
+def exhaustive_extremum(tree_class, size, maximum):
     """The largest (``maximum``) or smallest Matula number over an
     enumeration stream, with its tree, by encoding every tree."""
     optimum = witness = None
     examined = 0
-    for t in enumerate_trees(spec):
+    for t in enumerate_trees(tree_class, size):
         m = encode(t)
         examined += 1
         if optimum is None or (m > optimum if maximum else m < optimum):

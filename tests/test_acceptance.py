@@ -7,7 +7,6 @@ import math
 import time
 
 from matula import (
-    EnumSpec,
     IndexOutOfRange,
     TreeClass,
     apply_merge,
@@ -50,7 +49,7 @@ def test_c02_star_is_minimum():
     start = time.perf_counter()
     ok = True
     for n in range(2, 9):
-        report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n), False)
+        report = exhaustive_extremum(TreeClass.TOPOLOGICAL, n, False)
         ok = ok and report.optimum == 2**n and report.witness == star(n)
     for n in range(2, 201):
         ok = ok and encode(star(n)) == 2**n
@@ -65,8 +64,7 @@ def test_c03_caterpillar_is_maximum():
     q = caterpillar_numbers(8)
     ok = True
     for n in range(2, 9):
-        spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n)
-        report = exhaustive_extremum(spec, True)
+        report = exhaustive_extremum(TreeClass.TOPOLOGICAL, n, True)
         ok = ok and report.optimum == q[n - 1]
         ok = ok and report.witness == binary_caterpillar(n)
         ok = ok and report.examined == A000669[n - 1]
@@ -192,9 +190,8 @@ def test_c09_gi_maximum_unique():
     start = time.perf_counter()
     ok = True
     for n in range(5, 11):
-        spec = EnumSpec(TreeClass.ROOTED, "vertices", n)
-        values = sorted(encode(t) for t in enumerate_trees(spec))
-        report = exhaustive_extremum(spec, True)
+        values = sorted(encode(t) for t in enumerate_trees(TreeClass.ROOTED, n))
+        report = exhaustive_extremum(TreeClass.ROOTED, n, True)
         ok = ok and report.witness == gi_max_tree(n)
         ok = ok and report.optimum == values[-1]
         ok = ok and values[-1] > values[-2]  # strictly unique maximum
@@ -210,7 +207,7 @@ def test_c10_bijection_suite():
     for cls in (TreeClass.TOPOLOGICAL, TreeClass.BINARY):
         for n in range(1, 9):
             numbers = []
-            for t in enumerate_trees(EnumSpec(cls, "leaves", n)):
+            for t in enumerate_trees(cls, n):
                 m = encode(t)
                 numbers.append(m)
                 if decode(m) != t:
@@ -232,7 +229,7 @@ def test_c11_merge_transformation():
     ok = True
     checked = 0
     for n in range(3, 8):
-        for t in enumerate_trees(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", n)):
+        for t in enumerate_trees(TreeClass.TOPOLOGICAL, n):
             if len(t.children) < 3:
                 continue
             merged = apply_merge(t)

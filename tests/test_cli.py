@@ -177,6 +177,16 @@ def test_enumerate_cap_flag_must_match_the_size_flag(capsys, argv, flag):
     assert len(err.splitlines()) == 1 and flag in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("rooted", "--leaves", "5"), "rooted trees are sized by vertices, not leaves"),
+    (("binary", "--vertices", "5"), "binary trees are sized by leaves, not vertices"),
+    (("topological", "--vertices", "5"), "topological trees are sized by leaves, not vertices"),
+])
+def test_enumerate_size_flag_must_fit_the_class(capsys, argv, message):
+    # The class fixes what a size counts; the CLI is where a size is named.
+    assert run_cli(capsys, "enumerate", "--class", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_prime_bound_flag_validation(capsys):
     # Named like the flag, not the library's argument.
     for value in ["1", "70", "281474976710657", "99999999999999999999"]:
@@ -450,6 +460,7 @@ _CAPPED = [["seq", "q"], ["seq", "l"], ["verify", "lemma1"]]
         (["verify", "min-topological", "--leaves", "1"], 2, "n >= 2"),
         (["verify", "max-topological", "--leaves", "0"], 2, ">= 1"),
         (["verify", "min-binary", "--leaves", str(extremal.SIZE_CAP + 1)], 3, "exceeds cap"),
+        (["verify", "prime-bounds", "--max-m", "1"], 2, "--max-m must be >= 2, got 1"),
         # Two splits whose bounds on ln M overlap: their exact numbers need
         # p_301 = 1993, past the ceiling.
         (["--prime-bound", "1000", "verify", "min-binary", "--leaves", "30"], 3,
@@ -462,7 +473,7 @@ _CAPPED = [["seq", "q"], ["seq", "l"], ["verify", "lemma1"]]
           for which in "ql"],
     ],
     ids=["gi-max-4", "min-topological-1", "max-topological-0", "past-the-cap",
-         "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _TOO_LOW),
+         "prime-bounds-1", "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _TOO_LOW),
          "seq-q-past-the-cap", "seq-l-past-the-cap", "lemma1-past-the-cap",
          "seq-q-3-under-5", "seq-l-3-under-5"],
 )
@@ -558,17 +569,34 @@ def test_verify_prime_bounds_sieves_past_an_undershooting_bound(capsys, nudge, c
 
 
 def test_verify_failure_trips_exit_4(capsys, monkeypatch):
-    real = extremal.extremal_tree
+    real = extremal._levels
 
     def corrupted(tree_class, n, maximum):
-        # The opposite extremum: a real tree of the class and size, but not
-        # the claimed one.
+        # The opposite extremum: real trees of the class and sizes, which
+        # first differ from the caterpillars at 3 leaves.
         return real(tree_class, n, not maximum)
 
-    monkeypatch.setattr(extremal, "extremal_tree", corrupted)
+    monkeypatch.setattr(extremal, "_levels", corrupted)
     code, out, _ = run_cli(capsys, "verify", "max-topological", "--leaves", "4")
     assert code == 4
-    assert "MISMATCH" in out
+    assert out == "leaves=3 maximum=8 witness=(*,*,*) MISMATCH\n"
+
+
+def test_verify_names_the_first_size_whose_claim_fails(capsys, monkeypatch):
+    # Every size up to the requested one is certified: a claim made wrong
+    # at 7 leaves alone fails a request for 300, and the line names 7.
+    real = extremal._family
+
+    def corrupted(which, n):
+        family = real(which, n)
+        if which == "q":
+            family[6] = real("l", 7)[-1]  # B_7 in place of C_7
+        return family
+
+    monkeypatch.setattr(extremal, "_family", corrupted)
+    code, out, _ = run_cli(capsys, "verify", "max-topological", "--leaves", "300")
+    assert code == 4
+    assert out == "leaves=7 maximum=298154 witness=(*,(*,(*,(*,(*,(*,*)))))) MISMATCH\n"
 
 
 def test_deterministic_output(capsys):

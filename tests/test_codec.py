@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matula import (
-    EnumSpec,
     FactorOutOfRange,
     IndexOutOfRange,
     MatulaError,
@@ -46,12 +45,8 @@ def test_round_trip_numbers():
 
 
 def test_round_trip_trees():
-    for spec in (
-        EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6),
-        EnumSpec(TreeClass.BINARY, "leaves", 7),
-        EnumSpec(TreeClass.ROOTED, "vertices", 7),
-    ):
-        for t in enumerate_trees(spec):
+    for cls, size in ((TreeClass.TOPOLOGICAL, 6), (TreeClass.BINARY, 7), (TreeClass.ROOTED, 7)):
+        for t in enumerate_trees(cls, size):
             assert decode(encode(t)) == t
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from matula import (
     DomainError,
-    EnumSpec,
     SizeTooLarge,
     Tree,
     TreeClass,
@@ -20,24 +19,19 @@ from matula.enumerator import _ascending_partitions
 from oracles import A000081, A000669, wedderburn_etherington
 
 
-def _spec(cls, size):
-    kind = "vertices" if cls is TreeClass.ROOTED else "leaves"
-    return EnumSpec(cls, kind, size)
-
-
 def test_topological_counts_match_reference():
     for n, expected in enumerate(A000669, start=1):
-        assert count_trees(_spec(TreeClass.TOPOLOGICAL, n)) == expected
+        assert count_trees(TreeClass.TOPOLOGICAL, n) == expected
 
 
 def test_rooted_counts_match_reference():
     for n, expected in enumerate(A000081, start=1):
-        assert count_trees(_spec(TreeClass.ROOTED, n)) == expected
+        assert count_trees(TreeClass.ROOTED, n) == expected
 
 
 def test_binary_counts_match_wedderburn_etherington():
     for n in range(1, 13):
-        assert count_trees(_spec(TreeClass.BINARY, n)) == wedderburn_etherington(n)
+        assert count_trees(TreeClass.BINARY, n) == wedderburn_etherington(n)
 
 
 def test_binary_count_far_past_the_cap():
@@ -45,7 +39,7 @@ def test_binary_count_far_past_the_cap():
     # deeper than one level.
     for n in range(1, 1501):
         wedderburn_etherington(n)
-    assert count_trees(_spec(TreeClass.BINARY, 1500), cap=2000) == wedderburn_etherington(1500)
+    assert count_trees(TreeClass.BINARY, 1500, cap=2000) == wedderburn_etherington(1500)
 
 
 def test_ascending_partitions_in_lexicographic_order():
@@ -59,16 +53,16 @@ def test_ascending_partitions_in_lexicographic_order():
 
 
 def test_golden_counts():
-    assert count_trees(_spec(TreeClass.TOPOLOGICAL, 5)) == 12
-    assert count_trees(_spec(TreeClass.TOPOLOGICAL, 2)) == 1
-    assert count_trees(_spec(TreeClass.BINARY, 6)) == 6
-    assert count_trees(_spec(TreeClass.BINARY, 2)) == 1
-    assert count_trees(_spec(TreeClass.ROOTED, 5)) == 9
+    assert count_trees(TreeClass.TOPOLOGICAL, 5) == 12
+    assert count_trees(TreeClass.TOPOLOGICAL, 2) == 1
+    assert count_trees(TreeClass.BINARY, 6) == 6
+    assert count_trees(TreeClass.BINARY, 2) == 1
+    assert count_trees(TreeClass.ROOTED, 5) == 9
     # Computed by the earlier count over integer partitions, an independent
     # algorithm.
-    assert count_trees(_spec(TreeClass.ROOTED, 45), cap=45) == 2212039245722726118
+    assert count_trees(TreeClass.ROOTED, 45, cap=45) == 2212039245722726118
     assert (
-        count_trees(_spec(TreeClass.TOPOLOGICAL, 45), cap=45)
+        count_trees(TreeClass.TOPOLOGICAL, 45, cap=45)
         == 4584028190211586682876
     )
 
@@ -80,34 +74,33 @@ def test_stream_length_equals_count():
         (TreeClass.ROOTED, 9),
     ):
         for n in range(1, max_size + 1):
-            spec = _spec(cls, n)
-            assert len(list(enumerate_trees(spec))) == count_trees(spec)
+            assert len(list(enumerate_trees(cls, n))) == count_trees(cls, n)
 
 
 def test_size_one_is_the_single_vertex():
     for cls in TreeClass:
-        assert list(enumerate_trees(_spec(cls, 1))) == [leaf()]
+        assert list(enumerate_trees(cls, 1)) == [leaf()]
 
 
 def test_no_duplicate_serializations():
-    for spec in (_spec(TreeClass.TOPOLOGICAL, 7), _spec(TreeClass.ROOTED, 8)):
-        texts = [serialize(t) for t in enumerate_trees(spec)]
+    for cls, size in ((TreeClass.TOPOLOGICAL, 7), (TreeClass.ROOTED, 8)):
+        texts = [serialize(t) for t in enumerate_trees(cls, size)]
         assert len(texts) == len(set(texts))
 
 
 def test_stream_is_sorted_by_serialization():
-    for spec in (_spec(TreeClass.TOPOLOGICAL, 6), _spec(TreeClass.BINARY, 8)):
-        texts = [serialize(t) for t in enumerate_trees(spec)]
+    for cls, size in ((TreeClass.TOPOLOGICAL, 6), (TreeClass.BINARY, 8)):
+        texts = [serialize(t) for t in enumerate_trees(cls, size)]
         assert texts == sorted(texts)
 
 
 def test_class_and_size_soundness():
-    for t in enumerate_trees(_spec(TreeClass.TOPOLOGICAL, 6)):
+    for t in enumerate_trees(TreeClass.TOPOLOGICAL, 6):
         assert TreeClass.TOPOLOGICAL in classify(t)
         assert sum(1 for _ in _leaves(t)) == 6
-    for t in enumerate_trees(_spec(TreeClass.BINARY, 7)):
+    for t in enumerate_trees(TreeClass.BINARY, 7):
         assert TreeClass.BINARY in classify(t)
-    for t in enumerate_trees(_spec(TreeClass.ROOTED, 6)):
+    for t in enumerate_trees(TreeClass.ROOTED, 6):
         assert _vertex_count(t) == 6
 
 
@@ -123,12 +116,12 @@ def _vertex_count(t):
 
 
 def test_matula_numbers_pairwise_distinct():
-    for spec in (
-        _spec(TreeClass.TOPOLOGICAL, 7),
-        _spec(TreeClass.BINARY, 8),
-        _spec(TreeClass.ROOTED, 8),
+    for cls, size in (
+        (TreeClass.TOPOLOGICAL, 7),
+        (TreeClass.BINARY, 8),
+        (TreeClass.ROOTED, 8),
     ):
-        numbers = [encode(t) for t in enumerate_trees(spec)]
+        numbers = [encode(t) for t in enumerate_trees(cls, size)]
         assert len(numbers) == len(set(numbers))
 
 
@@ -137,7 +130,7 @@ def test_binary_past_the_prefix_needs_no_prime_past_the_ceiling(ceiling, leaves,
     # Canonical order decides these by bounds on ln M; exact numbers would
     # need p_11893763, past the 2 * 10^8 ceiling.
     ceiling(2 * 10**8)
-    texts = [serialize(t) for t in enumerate_trees(_spec(TreeClass.BINARY, leaves))]
+    texts = [serialize(t) for t in enumerate_trees(TreeClass.BINARY, leaves)]
     assert len(texts) == len(set(texts)) == expected == wedderburn_etherington(leaves)
 
 
@@ -148,35 +141,35 @@ def _live_trees():
 
 def test_pools_belong_to_one_enumeration():
     for cls, size in ((TreeClass.BINARY, 6), (TreeClass.ROOTED, 2), (TreeClass.TOPOLOGICAL, 5)):
-        first = list(enumerate_trees(_spec(cls, size)))
-        second = list(enumerate_trees(_spec(cls, size)))
+        first = list(enumerate_trees(cls, size))
+        second = list(enumerate_trees(cls, size))
         assert first == second
         assert all(a is not b for a, b in zip(first, second))
     before = _live_trees()
-    assert sum(1 for _ in enumerate_trees(_spec(TreeClass.BINARY, 10))) == 98
+    assert sum(1 for _ in enumerate_trees(TreeClass.BINARY, 10)) == 98
     assert _live_trees() == before
 
 
 def test_deterministic_across_runs():
-    first = [serialize(t) for t in enumerate_trees(_spec(TreeClass.TOPOLOGICAL, 7))]
-    second = [serialize(t) for t in enumerate_trees(_spec(TreeClass.TOPOLOGICAL, 7))]
+    first = [serialize(t) for t in enumerate_trees(TreeClass.TOPOLOGICAL, 7)]
+    second = [serialize(t) for t in enumerate_trees(TreeClass.TOPOLOGICAL, 7)]
     assert first == second
 
 
 def test_caps_guard():
     with pytest.raises(SizeTooLarge) as err:
-        list(enumerate_trees(_spec(TreeClass.TOPOLOGICAL, 13)))
+        list(enumerate_trees(TreeClass.TOPOLOGICAL, 13))
     assert err.value.cap == 12
     with pytest.raises(SizeTooLarge):
-        count_trees(_spec(TreeClass.ROOTED, 15))
+        count_trees(TreeClass.ROOTED, 15)
     # Cap override allows going past the default.
-    assert count_trees(_spec(TreeClass.ROOTED, 15), cap=15) == 87811
+    assert count_trees(TreeClass.ROOTED, 15, cap=15) == 87811
 
 
 def test_spec_validation():
+    # The class alone fixes what a size counts; only the CLI names it, so
+    # a flag that does not fit the class is refused there.
     with pytest.raises(DomainError):
-        list(enumerate_trees(EnumSpec(TreeClass.BINARY, "vertices", 5)))
+        count_trees(TreeClass.BINARY, 0)
     with pytest.raises(DomainError):
-        list(enumerate_trees(EnumSpec(TreeClass.ROOTED, "leaves", 5)))
-    with pytest.raises(DomainError):
-        count_trees(_spec(TreeClass.BINARY, 0))
+        list(enumerate_trees(TreeClass.ROOTED, -1))

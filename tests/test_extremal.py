@@ -4,9 +4,7 @@ import pytest
 
 from matula import extremal
 from matula import (
-    BadSize,
     DomainError,
-    EnumSpec,
     IndexOutOfRange,
     TreeClass,
     binary_caterpillar,
@@ -116,13 +114,13 @@ def test_gi_max_tree_values():
     assert encode(gi_max_tree(5)) == 19
     assert encode(gi_max_tree(6)) == 67
     assert params(gi_max_tree(9)).vertices == 9
-    with pytest.raises(BadSize):
+    with pytest.raises(DomainError, match="needs n >= 5 vertices, got 4"):
         gi_max_tree(4)
 
 
 def test_gi_max_tree_is_brute_force_argmax():
     for n in (5, 6, 7):
-        report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", n), True)
+        report = exhaustive_extremum(TreeClass.ROOTED, n, True)
         assert report.witness == gi_max_tree(n)
         assert report.optimum == encode(gi_max_tree(n))
 
@@ -185,20 +183,18 @@ def test_inequality_agrees_with_the_oracle_intervals():
 
 
 def test_exhaustive_max_topological():
-    spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 4)
-    report = exhaustive_extremum(spec, True)
+    report = exhaustive_extremum(TreeClass.TOPOLOGICAL, 4, True)
     assert report.optimum == 86
     assert report.witness == binary_caterpillar(4)
     assert report.examined == 5
-    spec = EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6)
-    report = exhaustive_extremum(spec, True)
+    report = exhaustive_extremum(TreeClass.TOPOLOGICAL, 6, True)
     assert report.optimum == 13766
     assert report.witness == binary_caterpillar(6)
     assert extremal_tree(TreeClass.TOPOLOGICAL, 6, True) == report.witness
 
 
 def test_exhaustive_max_rooted_five():
-    report = exhaustive_extremum(EnumSpec(TreeClass.ROOTED, "vertices", 5), True)
+    report = exhaustive_extremum(TreeClass.ROOTED, 5, True)
     assert report.optimum == 19
     assert report.examined == 9
     assert report.witness == gi_max_tree(5)
@@ -206,11 +202,11 @@ def test_exhaustive_max_rooted_five():
 
 
 def test_exhaustive_min_topological():
-    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 6), False)
+    report = exhaustive_extremum(TreeClass.TOPOLOGICAL, 6, False)
     assert report.optimum == 64
     assert report.witness == star(6)
     assert extremal_tree(TreeClass.TOPOLOGICAL, 6, False) == star(6)
-    report = exhaustive_extremum(EnumSpec(TreeClass.TOPOLOGICAL, "leaves", 2), False)
+    report = exhaustive_extremum(TreeClass.TOPOLOGICAL, 2, False)
     assert report.optimum == 4
     assert report.examined == 1
 
@@ -218,10 +214,9 @@ def test_exhaustive_min_topological():
 def test_exhaustive_min_rooted_reports_witness():
     # No assertion about the witness shape here, only internal consistency:
     # the true minimum is whatever the stream minimum is.
-    spec = EnumSpec(TreeClass.ROOTED, "vertices", 5)
-    report = exhaustive_extremum(spec, False)
+    report = exhaustive_extremum(TreeClass.ROOTED, 5, False)
     assert encode(report.witness) == report.optimum
-    values = [encode(t) for t in __import__("matula").enumerate_trees(spec)]
+    values = [encode(t) for t in __import__("matula").enumerate_trees(TreeClass.ROOTED, 5)]
     assert report.optimum == min(values)
     assert extremal_tree(TreeClass.ROOTED, 5, False) == report.witness
 
@@ -233,9 +228,8 @@ _SCANNED = [(TreeClass.TOPOLOGICAL, 8), (TreeClass.ROOTED, 10), (TreeClass.BINAR
 @pytest.mark.parametrize("maximum", [True, False], ids=["max", "min"])
 @pytest.mark.parametrize("tree_class, largest", _SCANNED, ids=["topological", "rooted", "binary"])
 def test_extremal_tree_matches_the_scan(tree_class, largest, maximum):
-    kind = "vertices" if tree_class is TreeClass.ROOTED else "leaves"
     for n in range(1, largest + 1):
-        report = exhaustive_extremum(EnumSpec(tree_class, kind, n), maximum)
+        report = exhaustive_extremum(tree_class, n, maximum)
         assert extremal_tree(tree_class, n, maximum) == report.witness, n
 
 
@@ -333,7 +327,7 @@ def test_bnb_matches_sequence():
 
 def test_bnb_agrees_with_brute_force():
     for k in range(2, 9):
-        brute = exhaustive_extremum(EnumSpec(TreeClass.BINARY, "leaves", k), False)
+        brute = exhaustive_extremum(TreeClass.BINARY, k, False)
         witness = extremal_tree(TreeClass.BINARY, k, False)
         assert encode(witness) == brute.optimum
         assert witness == brute.witness

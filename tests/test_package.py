@@ -6,8 +6,6 @@ import pytest
 
 import matula
 from matula import (
-    EnumSpec,
-    TreeClass,
     TreeParams,
     check_caterpillar_inequality,
     params,
@@ -47,7 +45,6 @@ def test_records_are_immutable_with_fixed_fields():
         params(parse("((*),(*,*),*)")): (
             "vertices", "leaves", "height", "max_outdegree", "outdegree_multiset", "wiener",
         ),
-        EnumSpec(TreeClass.BINARY, "leaves", 5): ("tree_class", "size_kind", "size"),
         check_caterpillar_inequality(2)[0]: ("k1", "k2", "lhs", "rhs", "holds", "equality"),
     }
     for record, fields in records.items():

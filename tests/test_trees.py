@@ -172,6 +172,16 @@ def test_compare_matula_past_the_prefix():
         assert lo <= log(n) <= hi
 
 
+def test_compare_matula_falls_back_to_exact_numbers():
+    # p_1100000 and p_1100001 lie past the 2^24 prefix and the two trees'
+    # bounds on ln M overlap, so only their exact numbers order them.
+    a, b = join(decode(1_100_001)), join(decode(1_100_000))
+    (alo, ahi), (blo, bhi) = ln_bounds(a), ln_bounds(b)
+    assert a._mnum is None and b._mnum is None and alo <= bhi and blo <= ahi
+    assert compare_matula(a, b) == 1
+    assert (a._mnum, b._mnum) == (17144507, 17144489)  # p_1100001, p_1100000
+
+
 def test_ln_bounds_contain_ln_m():
     # Against ln M to 40 digits: a bound not widened past the rounding of
     # float logs fails here, since the float log of M is never ln M itself.
@@ -313,13 +323,13 @@ def test_star_wiener_formula():
 
 
 def test_params_against_bfs_oracle():
-    from matula import EnumSpec, TreeClass, enumerate_trees
+    from matula import TreeClass, enumerate_trees
 
     samples = [decode(n) for n in range(1, 200)]
     samples += [star(7), binary_caterpillar(6), join(star(3), star(2))]
     for cls in (TreeClass.TOPOLOGICAL, TreeClass.BINARY):
         for n in range(1, 9):
-            samples.extend(enumerate_trees(EnumSpec(cls, "leaves", n)))
+            samples.extend(enumerate_trees(cls, n))
     for t in samples:
         p = params(t)
         reference = bfs_params(t)
