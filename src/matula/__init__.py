@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 # Public name -> (module, attribute).
 _EXPORTS = {
-    "DEFAULT_CAPS": ("enumerator", "DEFAULT_CAPS"),
     "DomainError": ("errors", "DomainError"),
     "FactorOutOfRange": ("errors", "FactorOutOfRange"),
     "IndexOutOfRange": ("errors", "IndexOutOfRange"),
@@ -27,7 +26,6 @@ _EXPORTS = {
     "PrimeOracle": ("primes", "PrimeOracle"),
     "SIEVE_BACKEND": ("_sieve_py", "BACKEND"),
     "SizeTooLarge": ("errors", "SizeTooLarge"),
-    "TooFewBranches": ("errors", "TooFewBranches"),
     "Tree": ("trees", "Tree"),
     "TreeClass": ("trees", "TreeClass"),
     "TreeParams": ("trees", "TreeParams"),

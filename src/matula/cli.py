@@ -72,14 +72,13 @@ def _build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--leaves", type=int)
     group.add_argument("--vertices", type=int)
-    p.add_argument(
+    group = p.add_mutually_exclusive_group()
+    group.add_argument(
         "--with-matula",
         action="store_true",
         help="append the Matula number, tab-separated",
     )
-    p.add_argument("--max-leaves", type=int, default=None, help="cap override")
-    p.add_argument("--max-vertices", type=int, default=None, help="cap override")
-    p.add_argument("--count", action="store_true", help="print the count only")
+    group.add_argument("--count", action="store_true", help="print the count only")
 
     p = sub.add_parser("seq", help="extremal Matula number sequences")
     p.add_argument("which", choices=["q", "l"], help="q: caterpillar max, l: binary min")
@@ -182,18 +181,16 @@ def _cmd_enumerate(args):
     from .trees import TreeClass
 
     tree_class = TreeClass(args.tree_class)
-    kind, other = ("leaves", "vertices") if args.leaves is not None else ("vertices", "leaves")
-    if getattr(args, f"max_{other}") is not None:
-        raise DomainError(f"--max-{other} does not apply to --{kind}; use --max-{kind}")
+    kind = "leaves" if args.leaves is not None else "vertices"
     expected = "vertices" if tree_class is TreeClass.ROOTED else "leaves"
     if kind != expected:
         raise DomainError(f"{tree_class.value} trees are sized by {expected}, not {kind}")
-    size, cap = getattr(args, kind), getattr(args, f"max_{kind}")
+    size = getattr(args, kind)
     if args.count:
-        n = count_trees(tree_class, size, cap)
+        n = count_trees(tree_class, size)
         _emit(args, {"count": str(n)}, str(n))
         return 0
-    for t in enumerate_trees(tree_class, size, cap):
+    for t in enumerate_trees(tree_class, size):
         text = treetext.serialize(t)
         if args.with_matula:
             m = encode(t)

@@ -49,15 +49,11 @@ class DomainError(MatulaError):
     """An argument is outside the mathematical domain of the operation."""
 
 
-class TooFewBranches(MatulaError):
-    """The branch-merging transformation needs at least three branches."""
-
-
 class SizeTooLarge(MatulaError):
-    """A size exceeds its cap: the enumerator's anti-explosion cap or the
-    extremal layer's ``SIZE_CAP``."""
+    """A size exceeds its cap: the enumerator's per-class cap, its counting
+    bound of 2000, or the extremal layer's ``SIZE_CAP``."""
 
-    def __init__(self, message, size=None, cap=None):
+    def __init__(self, message, size, cap):
         super().__init__(message)
         self.size = size
         self.cap = cap

@@ -78,7 +78,7 @@ def _check_size(n, least=1):
     if n < least:
         raise DomainError(f"size must be >= {least}, got {n}")
     if n > SIZE_CAP:
-        raise SizeTooLarge(f"extremal size {n} exceeds cap {SIZE_CAP}", size=n, cap=SIZE_CAP)
+        raise SizeTooLarge(f"extremal size {n} exceeds cap {SIZE_CAP}", n, SIZE_CAP)
 
 
 def _balanced_split(k):

@@ -20,7 +20,7 @@ from enum import Enum
 from functools import cmp_to_key
 from math import log, prod
 
-from .errors import DomainError, IndexOutOfRange, TooFewBranches
+from .errors import DomainError, IndexOutOfRange
 from .primes import _WIDEN, _ln_prime_bounds, default_oracle
 
 
@@ -176,9 +176,7 @@ def apply_merge(t: Tree) -> Tree:
     replaces.  Requires at least three branches.
     """
     if len(t.children) < 3:
-        raise TooFewBranches(
-            f"branch merge needs >= 3 branches, got {len(t.children)}"
-        )
+        raise DomainError(f"branch merge needs >= 3 branches, got {len(t.children)}")
     first, second, *rest = t.children
     return join(join(first, second), *rest)
 

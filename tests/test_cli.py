@@ -139,8 +139,7 @@ def test_enumerate_count_only(capsys):
 def test_json_count_is_a_decimal_string(capsys):
     # Far past 2^53, where a JSON number loses digits in most readers.
     code, out, _ = run_cli(
-        capsys, "--json", "enumerate", "--class", "rooted", "--vertices", "60",
-        "--max-vertices", "60", "--count",
+        capsys, "--json", "enumerate", "--class", "rooted", "--vertices", "60", "--count"
     )
     assert (code, out) == (0, '{"count": "16486885726043465205200778"}\n')
 
@@ -151,30 +150,29 @@ def test_enumerate_cap_exit_code(capsys):
     )
     assert code == 3
     assert "cap" in err
+    # The caps are fixed; counting holds no tree and has a bound of its own.
+    for argv, cap in [
+        (("rooted", "--vertices", "15"), 14),
+        (("binary", "--leaves", "21"), 20),
+        (("rooted", "--vertices", "2001", "--count"), 2000),
+    ]:
+        assert run_cli(capsys, "enumerate", "--class", *argv) == (
+            3, "", f"error: {argv[0]} size {argv[2]} exceeds cap {cap}\n"
+        )
 
 
-def test_enumerate_cap_override_flag(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "enumerate", "--class", "topological", "--leaves", "4", "--max-leaves", "3",
-    )
-    assert code == 3
-    code, out, _ = run_cli(
-        capsys,
-        "enumerate", "--class", "rooted", "--vertices", "4", "--max-vertices", "4",
-    )
-    assert code == 0
-    assert len(out.splitlines()) == 4
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (("rooted", "--vertices", "5", "--max-leaves", "1"), "--max-vertices"),
-    (("topological", "--leaves", "13", "--max-vertices", "20"), "--max-leaves"),
+@pytest.mark.parametrize("extra", [
+    # No cap can be raised.
+    ("--max-leaves", "5"),
+    ("--max-vertices", "5"),
+    # Counting prints no trees, so it has no Matula numbers to append.
+    ("--count", "--with-matula"),
 ])
-def test_enumerate_cap_flag_must_match_the_size_flag(capsys, argv, flag):
-    code, out, err = run_cli(capsys, "enumerate", "--class", *argv, "--count")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and flag in err
+def test_enumerate_usage_errors(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["enumerate", "--class", "rooted", "--vertices", "5", *extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -908,11 +906,8 @@ _FAST_ARGV = st.one_of(
         st.sampled_from(["rooted", "topological", "binary", "other"]),
         st.sampled_from(["--leaves", "--vertices"]),
         st.integers(-2, 30).map(str),
-        # No cap, or either cap flag, matching the size flag or not.
-        st.sampled_from([(), *((flag, cap) for flag in ("--max-leaves", "--max-vertices")
-                                for cap in ("1", "30"))]),
         st.just("--count"),
-    ).map(lambda argv: (*argv[:5], *argv[5], argv[6])),
+    ),
 ).map(list)
 
 

@@ -39,7 +39,7 @@ def test_binary_count_far_past_the_cap():
     # deeper than one level.
     for n in range(1, 1501):
         wedderburn_etherington(n)
-    assert count_trees(TreeClass.BINARY, 1500, cap=2000) == wedderburn_etherington(1500)
+    assert count_trees(TreeClass.BINARY, 1500) == wedderburn_etherington(1500)
 
 
 def test_ascending_partitions_in_lexicographic_order():
@@ -60,11 +60,8 @@ def test_golden_counts():
     assert count_trees(TreeClass.ROOTED, 5) == 9
     # Computed by the earlier count over integer partitions, an independent
     # algorithm.
-    assert count_trees(TreeClass.ROOTED, 45, cap=45) == 2212039245722726118
-    assert (
-        count_trees(TreeClass.TOPOLOGICAL, 45, cap=45)
-        == 4584028190211586682876
-    )
+    assert count_trees(TreeClass.ROOTED, 45) == 2212039245722726118
+    assert count_trees(TreeClass.TOPOLOGICAL, 45) == 4584028190211586682876
 
 
 def test_stream_length_equals_count():
@@ -160,10 +157,13 @@ def test_caps_guard():
     with pytest.raises(SizeTooLarge) as err:
         list(enumerate_trees(TreeClass.TOPOLOGICAL, 13))
     assert err.value.cap == 12
-    with pytest.raises(SizeTooLarge):
-        count_trees(TreeClass.ROOTED, 15)
-    # Cap override allows going past the default.
-    assert count_trees(TreeClass.ROOTED, 15, cap=15) == 87811
+    # Counting holds no tree, so it has a bound of its own, past every
+    # enumeration cap.
+    assert count_trees(TreeClass.ROOTED, 15) == 87811
+    for cls in TreeClass:
+        with pytest.raises(SizeTooLarge) as err:
+            count_trees(cls, 2001)
+        assert (err.value.size, err.value.cap) == (2001, 2000)
 
 
 def test_spec_validation():

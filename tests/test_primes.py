@@ -10,6 +10,7 @@ from math import isqrt
 import pytest
 
 from matula import (
+    DomainError,
     FactorOutOfRange,
     IndexOutOfRange,
     MatulaError,
@@ -30,6 +31,9 @@ def test_nth_prime_golden(oracle):
     assert oracle.nth_prime(14) == 43
     assert oracle.nth_prime(86) == 443
     assert oracle.nth_prime(886) == 6883
+    for m in (0, -1):
+        with pytest.raises(DomainError, match=f"prime indices start at 1, got {m}"):
+            oracle.nth_prime(m)
 
 
 def test_nth_prime_matches_naive_oracle(oracle):
@@ -91,6 +95,8 @@ def test_factorize_recomposes(oracle):
 
 def test_factorize_of_one(oracle):
     assert oracle.factorize(1) == []
+    with pytest.raises(DomainError, match="factorize needs n >= 1, got 0"):
+        oracle.factorize(0)
 
 
 def test_factorize_certifies_large_prime_cofactor():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from matula import (
     DomainError,
     IndexOutOfRange,
-    TooFewBranches,
     Tree,
     TreeClass,
     apply_merge,
@@ -125,6 +124,9 @@ def test_equality_is_isomorphism():
             assert (other == t) == (m == n)
         if n < 30:
             seen[n] = t
+    # A tree equals no other kind of value, not even its own text.
+    assert leaf() != "*"
+    assert leaf().__eq__(1) is NotImplemented
 
 
 def test_compare_matula_total_order():
@@ -279,7 +281,7 @@ def test_apply_merge_star4():
 
 
 def test_apply_merge_needs_three_branches():
-    with pytest.raises(TooFewBranches):
+    with pytest.raises(DomainError, match="branch merge needs >= 3 branches, got 2"):
         apply_merge(join(leaf(), leaf()))
 
 
