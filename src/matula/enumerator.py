@@ -30,8 +30,8 @@ from .treetext import serialize
 from .trees import TreeClass, join, leaf
 
 # Enumeration holds every tree of every size up to the requested one, so
-# memory grows with the count: at binary 20, the largest, the CLI peaks near
-# 224 MB after 14 s on a 2-CPU host.
+# memory grows with the count: at binary 20, the largest, a fresh CLI process
+# peaks at 224 MB after about 15 s on a 2-CPU host.
 _CAPS = {TreeClass.TOPOLOGICAL: 12, TreeClass.BINARY: 20, TreeClass.ROOTED: 14}
 # Counting holds no tree, only O(n) integers over O(n^2) steps: time alone
 # bounds it, about 4 s for topological trees at 2000 on a 2-CPU host.

@@ -8,6 +8,8 @@ from itertools import compress, count, islice
 from math import isqrt
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from matula import (
     DomainError,
@@ -221,6 +223,65 @@ def test_segment_rounds_an_even_start_up_to_odd():
     assert list(_sieve_py.sieve_segment(4, 5, base)) == []
     with pytest.raises(ValueError):
         _sieve_py.sieve_segment(2, 70000, base)
+
+
+_BLOCK = _sieve_py._BLOCK
+_SMALL_LIMIT = 2**22 + 12 * _BLOCK
+
+
+@pytest.fixture(scope="module")
+def small_sieve():
+    """A flat sieve over [0, 2^22 + 12 * _BLOCK], past every segment below."""
+    return MonolithicSieve(_SMALL_LIMIT)
+
+
+def _expected(sieve, lo, hi):
+    return list(compress(range(lo, hi), sieve.flags[lo:hi]))
+
+
+# 1009^2 = 1018081: a start just past it strikes 1009 from its next odd
+# multiple rather than from its square.
+@pytest.mark.parametrize("lo", [70_000, 100_001, 1009**2 + 1, 1009**2 + 2])
+@pytest.mark.parametrize("odd", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_segment_at_extraction_block_boundaries(small_sieve, lo, odd):
+    # Extraction reads the flags _BLOCK odd candidates at a time; a segment
+    # of `odd` candidates ends with an even or an odd hi.
+    base = _sieve_py.simple_sieve(isqrt(_SMALL_LIMIT))
+    first = lo | 1
+    for hi in (first + 2 * odd - 1, first + 2 * odd):
+        if hi <= lo:
+            continue  # an odd lo has no empty segment within the contract
+        assert len(range(first, hi, 2)) == odd
+        found = _sieve_py.sieve_segment(lo, hi, base)
+        assert list(found) == _expected(small_sieve, lo, hi), (lo, hi)
+
+
+@seed(25)
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(3, 2**22), odd=st.integers(0, 6 * _BLOCK))
+def test_segment_matches_monolithic_sieve_anywhere(small_sieve, lo, odd):
+    hi = max((lo | 1) + 2 * odd, lo + 1)
+    base = _sieve_py.simple_sieve(isqrt(_SMALL_LIMIT))
+    assert list(_sieve_py.sieve_segment(lo, hi, base)) == _expected(small_sieve, lo, hi)
+
+
+def test_segment_just_below_2_to_the_32_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    lo, hi = 2**32 - 10**5 - 1, 2**32
+    found = _sieve_py.sieve_segment(lo, hi, _sieve_py.simple_sieve(2**16))
+    assert list(found) == list(sympy.primerange(lo, hi))
+    assert found[-1] == 4_294_967_291
+
+
+def test_sieved_prefix_published_values():
+    # pi(2^24) = 1077871, and the largest prime below 2^24 is 2^24 - 3.
+    oracle = PrimeOracle()
+    oracle._extend_to_value(oracle._prefix_end)
+    assert oracle._sieved_to == 2**24 + 1
+    assert len(oracle._primes) == 1_077_871
+    assert oracle._primes[-1] == 16_777_213
+    assert PrimeOracle().prime_count(2**24) == 1_077_871
+    assert PrimeOracle().nth_prime(1_077_871) == 16_777_213
 
 
 def test_extension_alignment_is_history_independent():
