@@ -20,8 +20,10 @@ prefix is sieved by the table's primes.  Past the prefix no table is kept:
   bound x0 on p_m, then sieving bounded windows upwards from x0 until the count
   reaches m; p_m > x0, so m is refused when x0 or the walk reaches the
   ceiling first;
-* factorization trial-divides by the primes up to 2^16 only, then certifies
-  the cofactor by Miller-Rabin or splits it by Pollard-Brent rho alone.
+* factorization screens the primes up to 2^16 in runs of 32, one gcd with
+  each run's product, and trial-divides only by a run that shares a factor;
+  it then certifies the cofactor by Miller-Rabin or splits it by
+  Pollard-Brent rho alone.
 
 So the ceiling bounds run time, not memory.  Answers past the prefix are
 kept in one small bounded memo per oracle, because tree codecs and
@@ -35,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cache, lru_cache
 from itertools import accumulate, groupby, islice
-from math import exp, gcd, isqrt, log
+from math import exp, gcd, isqrt, log, prod
 
 from . import _sieve_py
 from .errors import (
@@ -51,8 +53,11 @@ DEFAULT_PRIME_BOUND = 2**32
 
 # Bootstrap sieve size; covers sqrt of every value the prefix holds, so
 # segment marking never needs base primes it does not already have.  Its
-# primes are also factorize's trial divisors.
+# primes are also factorize's trial divisors, screened _RUN at a time: one
+# gcd with the product of a run (about 512 bits near 2^16) rules out all of
+# its primes at once, where the per-prime loop runs in Python.
 _BOOTSTRAP = 1 << 16
+_RUN = 32
 
 # The sieved table caches the primes up to this value and never grows past
 # it: at most 1,077,871 primes (8.6 MB), sieved whole in about 0.2 s on a
@@ -321,7 +326,7 @@ class PrimeOracle:
         self._lock = threading.RLock()
         bootstrap = min(_BOOTSTRAP, self._limit_value)
         self._primes = _sieve_py.simple_sieve(bootstrap)
-        self._trial_count = len(self._primes)
+        self._runs = None  # factorize's trial runs, built on its first call
         self._sieved_to = bootstrap + 1  # every value below this is settled
         # The table never covers values at or past this.
         self._prefix_end = min(self._limit_value, _PREFIX_CAP) + 1
@@ -539,9 +544,14 @@ class PrimeOracle:
         """Prime decomposition of n as [(prime, exponent), ...], ascending.
 
         Trial division by the primes p <= 2^16 while p^2 <= the remaining
-        cofactor; whatever cofactor is left is certified prime by
-        Miller-Rabin or split by Pollard-Brent rho, every factor certified in
-        turn.  FactorOutOfRange (``value`` is n) when
+        cofactor, screened in runs of _RUN primes: a run whose product is
+        coprime to the cofactor is skipped whole, and proves the cofactor
+        prime when its last prime's square is at least the cofactor; only a
+        run that shares a factor is divided prime by prime.  Whatever
+        cofactor is left is certified prime by Miller-Rabin or split by
+        Pollard-Brent rho, every factor certified in turn.  Takes no lock:
+        it reads only the runs, which never change.  FactorOutOfRange
+        (``value`` is n) when
 
         * two or more prime factors, counted with multiplicity, lie above
           the ceiling (``cofactor`` is their product);
@@ -555,11 +565,22 @@ class PrimeOracle:
         """
         if n < 1:
             raise DomainError(f"factorize needs n >= 1, got {n}")
+        runs = self._runs
+        if runs is None:  # a racing first call builds the same runs
+            runs = self._runs = self._trial_runs()
         out = []
         rem = n
         proven_prime = False  # cofactor primality established by trial division
-        with self._lock:
-            for p in islice(self._primes, self._trial_count):
+        for product, first_square, last_square, run in runs:
+            if first_square > rem:
+                proven_prime = True
+                break
+            if gcd(rem, product) == 1:
+                if last_square >= rem:  # no prime factor up to sqrt(rem)
+                    proven_prime = True
+                    break
+                continue
+            for p in run:
                 if p * p > rem:
                     proven_prime = True
                     break
@@ -569,13 +590,27 @@ class PrimeOracle:
                         rem //= p
                         e += 1
                     out.append((p, e))
-            if rem > 1:
-                if proven_prime:
-                    out.append((rem, 1))
-                else:
-                    factors = self._split(n, rem)
-                    out.extend((p, len(list(run))) for p, run in groupby(factors))
+            if proven_prime:
+                break
+        if rem > 1:
+            if proven_prime:
+                out.append((rem, 1))
+            else:
+                factors = self._split(n, rem)
+                out.extend((p, len(list(run))) for p, run in groupby(factors))
         return out
+
+    def _trial_runs(self):
+        """The bootstrap primes in runs of _RUN, each as (product, first
+        prime squared, last prime squared, its primes); the last run may be
+        shorter."""
+        table = self._primes  # grows only past the bootstrap primes
+        divisors = table[: bisect_right(table, min(_BOOTSTRAP, self._limit_value))]
+        runs = []
+        for i in range(0, len(divisors), _RUN):
+            run = tuple(divisors[i : i + _RUN])
+            runs.append((prod(run), run[0] ** 2, run[-1] ** 2, run))
+        return tuple(runs)
 
     def _split(self, n, rem):
         """The prime factors of rem, ascending with multiplicity, where rem

@@ -116,6 +116,120 @@ def test_factorize_error_when_uncertifiable():
     assert err.value.cofactor == composite
 
 
+# -- factorize's trial runs ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sieve_2_17():
+    return MonolithicSieve(2**17)
+
+
+def _factorize_by_trial_division(n, sieve):
+    """[(p, e), ...] for n < 2^34: divide by every prime p of ``sieve``
+    while p^2 <= the cofactor; what is left over 1 is prime."""
+    out = []
+    for p in compress(count(), sieve.flags):
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _trial_divisors(oracle):
+    oracle.factorize(1)  # the runs are built on the first call
+    return [p for *_, run in oracle._runs for p in run]
+
+
+def test_factorize_every_n_below_2_to_the_17(sieve_2_17):
+    oracle = PrimeOracle()
+    for n in range(1, 2**17):
+        assert oracle.factorize(n) == _factorize_by_trial_division(n, sieve_2_17), n
+
+
+def test_factorize_at_every_run_edge(oracle, sieve_2_17):
+    divisors = _trial_divisors(oracle)
+    assert divisors == list(compress(range(2**16 + 1), sieve_2_17.flags))
+    runs = oracle._runs
+    sizes = [primes._RUN] * (len(runs) - 1) + [len(divisors) % primes._RUN]
+    assert [len(run) for *_, run in runs] == sizes
+    following = [run[0] for *_, run in runs[1:]] + [65537]  # the first prime past 2^16
+    for (product, first_square, last_square, run), after in zip(runs, following):
+        first, last = run[0], run[-1]
+        assert (product, first_square, last_square) == (math.prod(run), first**2, last**2)
+        assert oracle.factorize(first * last) == [(first, 1), (last, 1)]
+        assert oracle.factorize(last**2) == [(last, 2)]
+        assert oracle.factorize(last * after) == [(last, 1), (after, 1)]
+        # A prime below the last square is proven by the run's gcd alone.
+        q = last**2 - 2
+        while not is_prime_certified(q):
+            q -= 2
+        assert oracle.factorize(q) == [(q, 1)]
+
+
+def test_factorize_around_the_last_trial_divisor(oracle):
+    # 65521 is the last prime below 2^16 and 65537 the first past it.
+    assert oracle.factorize(65521**2) == [(65521, 2)]
+    assert oracle.factorize(65521 * 65537) == [(65521, 1), (65537, 1)]
+    assert oracle.factorize(2**20 * 65521) == [(2, 20), (65521, 1)]
+
+
+def test_factorize_matches_sympy_up_to_2_to_the_64(oracle):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(27)
+    ns = [rng.randrange(1, 2 ** rng.randrange(1, 65)) for _ in range(300)]
+    ns += [sympy.randprime(2**31, 2**32) * sympy.randprime(2**31, 2**32) for _ in range(5)]
+    for n in ns:
+        assert oracle.factorize(n) == sorted(sympy.factorint(n).items()), n
+
+
+# Short last runs: 20 primes up to the ceiling 71, 168 = 5 * 32 + 8 up to
+# 1000, and the 18 primes up to a bootstrap of 2^6 under a 2^12 prefix, as in
+# test_counts_past_a_small_prefix.
+@pytest.mark.parametrize(
+    "ceiling, cap, bootstrap", [(71, 2**24, 2**16), (1000, 2**24, 2**16), (2**24, 2**12, 2**6)]
+)
+def test_factorize_under_a_short_last_run(sieve_2_17, monkeypatch, ceiling, cap, bootstrap):
+    monkeypatch.setattr(primes, "_PREFIX_CAP", cap)
+    monkeypatch.setattr(primes, "_BOOTSTRAP", bootstrap)
+    oracle = PrimeOracle(limit_value=ceiling)
+    divisors = _trial_divisors(oracle)
+    assert divisors == list(compress(range(min(ceiling, bootstrap) + 1), sieve_2_17.flags))
+    assert len(oracle._runs[-1][-1]) == len(divisors) % primes._RUN
+    for n in range(1, 2**17):
+        expected = _factorize_by_trial_division(n, sieve_2_17)
+        above = [p for p, e in expected if p > ceiling for _ in range(e)]
+        if len(above) > 1:
+            with pytest.raises(FactorOutOfRange) as err:
+                oracle.factorize(n)
+            assert (err.value.value, err.value.cofactor) == (n, math.prod(above)), n
+        else:
+            assert oracle.factorize(n) == expected, n
+
+
+def test_factorize_takes_no_lock():
+    # factorize reads nothing the lock guards, so it answers while another
+    # thread holds the lock (a long rho call no longer blocks other queries).
+    oracle = PrimeOracle()
+    answers = []
+    worker = threading.Thread(
+        target=lambda: answers.extend(oracle.factorize(n) for n in (4_294_049_777, 10**15 + 37))
+    )
+    with oracle._lock:
+        worker.start()
+        worker.join(timeout=10)
+        finished = not worker.is_alive()
+    worker.join(timeout=60)
+    assert finished
+    assert answers == [[(65521, 1), (65537, 1)], [(10**15 + 37, 1)]]
+
+
 def test_is_prime_certified_past_the_witness_bound():
     # Past 3.3 * 10^24 a failed witness still proves a number composite; one
     # that passes them all cannot be certified, and past the square of that
