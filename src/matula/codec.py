@@ -5,20 +5,17 @@ indexed by branch numbers, with the single vertex mapping to 1); ``decode``
 inverts it through the prime decomposition.  Both directions are exact
 arbitrary-precision; only the prime *indices* fed to the oracle must stay
 machine-scale, and the oracle errors identify the smallest infeasible
-subtree when they do not.
+subtree when they do not.  Decoded trees belong to the default oracle.
 """
 
 from .errors import MatulaError
 from .primes import default_oracle
 from .trees import Tree, leaf, matula_number
 
-# decode is shared-subtree heavy (every composite reuses the trees of its
-# factor indices), so results with keys up to this bound are interned in
-# ``_decode_cache``.  Only keys up to the current oracle's ceiling are read or
-# written: decode(n) cannot fail there (every prime it needs is at most n), so
-# whether a call raises never depends on earlier calls.
-_DECODE_CACHE_MAX_KEY = 1 << 20
-_decode_cache = {}
+# Trees of keys up to this bound are memoized on the oracle, at most
+# _DECODE_MEMO_SIZE of them; clearing a full memo is atomic and takes no lock.
+_DECODE_MEMO_MAX_KEY = 1 << 20
+_DECODE_MEMO_SIZE = 1 << 16
 
 
 def encode(t: Tree) -> int:
@@ -35,8 +32,8 @@ def decode(n: int) -> Tree:
 
 def _decode(n):
     oracle = default_oracle()
-    cached = n <= min(_DECODE_CACHE_MAX_KEY, oracle.limit_value)
-    result = _decode_cache.get(n) if cached else None
+    memo = oracle._decode_memo
+    result = memo.get(n)
     if result is not None:
         return result
     if n == 1:
@@ -49,6 +46,8 @@ def _decode(n):
         # Factors come out ascending, hence so do the children's Matula
         # numbers: the tuple is already canonical.
         result = Tree(children, _matula=n)
-    if cached:
-        _decode_cache[n] = result
+    if n <= _DECODE_MEMO_MAX_KEY:
+        if len(memo) >= _DECODE_MEMO_SIZE:
+            memo.clear()
+        memo[n] = result
     return result

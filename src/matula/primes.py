@@ -26,8 +26,8 @@ prefix is sieved by the table's primes.  Past the prefix no table is kept:
   Pollard-Brent rho alone.
 
 So the ceiling bounds run time, not memory.  Answers past the prefix are
-kept in one small bounded memo per oracle, because tree codecs and
-enumerations ask for the same indices again and again.
+kept in one small bounded memo per oracle, for the checks of Lemma 1: their
+left sides share the caterpillar C_8, whose prime lies past the prefix.
 
 Every proven bound on p_m that the package trusts is a row of ``_BOUNDS``.
 """
@@ -331,6 +331,7 @@ class PrimeOracle:
         # The table never covers values at or past this.
         self._prefix_end = min(self._limit_value, _PREFIX_CAP) + 1
         self._far = {}  # ("nth", m) -> p_m and ("pi", x) -> pi(x) past the prefix
+        self._decode_memo = {}  # Matula number -> tree, kept by codec.decode
 
     def __repr__(self):
         return (
@@ -669,9 +670,9 @@ def default_oracle() -> PrimeOracle:
 def set_default_oracle(oracle):
     """Replace the shared oracle (None resets to lazy re-creation).
 
-    Its ceiling applies to every later call.  Trees keep the
-    Matula numbers and bounds they have already memoized, so a tree built
-    under the old oracle may still report a number the new one would refuse.
+    Its ceiling applies to every later call; the old oracle's decoded trees
+    go with it.  Trees keep the Matula numbers and bounds they have memoized,
+    so one built under the old oracle may report a number the new one refuses.
     """
     global _default_oracle
     with _default_lock:

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +19,10 @@ from matula import (
     join,
     leaf,
     parse,
+    serialize,
     star,
 )
+from matula import codec
 
 from test_trees import small_trees
 
@@ -40,8 +47,9 @@ def test_decode_golden():
 
 
 def test_round_trip_numbers():
+    # decode's trees carry their number, so encode their parsed copies.
     for n in range(1, 5000):
-        assert encode(decode(n)) == n
+        assert encode(parse(serialize(decode(n)))) == n
 
 
 def test_round_trip_trees():
@@ -143,3 +151,60 @@ def test_decode_memo_keeps_range_errors_history_independent(ceiling):
     # default ceiling may not answer.
     with pytest.raises(MatulaError):
         decode(202)
+
+
+def test_each_oracle_owns_its_decode_memo(ceiling):
+    first = ceiling()
+    assert first._decode_memo == {}
+    t = decode(42)
+    assert first._decode_memo[42] is t
+    # Replacing the default drops the old oracle, and its memo with it.
+    dropped = weakref.ref(first)
+    del first
+    second = ceiling()
+    gc.collect()
+    assert dropped() is None
+    assert second._decode_memo == {}
+    assert decode(42) == t
+    assert second._decode_memo[42] is not t
+
+
+def test_decode_memo_keeps_its_entry_bound(ceiling, monkeypatch):
+    monkeypatch.setattr(codec, "_DECODE_MEMO_SIZE", 16)
+    oracle = ceiling()
+    for n in range(1, 3000):
+        t = decode(n)
+        assert len(oracle._decode_memo) <= 16
+        assert encode(t) == n
+        assert encode(parse(serialize(t))) == n
+
+
+def test_decode_memo_clears_while_other_threads_read(ceiling, monkeypatch):
+    # More threads than cores, a short switch interval and a memo bound so
+    # small that it is cleared while other threads read and fill it.
+    numbers = list(range(1, 1500))
+    expected = {n: serialize(decode(n)) for n in numbers}
+    monkeypatch.setattr(codec, "_DECODE_MEMO_SIZE", 8)
+    ceiling()
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(len(numbers)):
+                n = numbers[(i + offset) % len(numbers)]
+                assert serialize(decode(n)) == expected[n], n
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k * 373,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
