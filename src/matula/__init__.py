@@ -28,14 +28,12 @@ _EXPORTS = {
     "SizeTooLarge": ("errors", "SizeTooLarge"),
     "Tree": ("trees", "Tree"),
     "TreeClass": ("trees", "TreeClass"),
-    "TreeParams": ("trees", "TreeParams"),
+    "TreeParams": ("treetext", "TreeParams"),
     "TreeSyntaxError": ("errors", "TreeSyntaxError"),
     "ValueOutOfRange": ("errors", "ValueOutOfRange"),
-    "apply_merge": ("trees", "apply_merge"),
     "binary_caterpillar": ("extremal", "binary_caterpillar"),
     "caterpillar_numbers": ("extremal", "caterpillar_numbers"),
     "check_caterpillar_inequality": ("extremal", "check_caterpillar_inequality"),
-    "classify": ("trees", "classify"),
     "compare_matula": ("trees", "compare_matula"),
     "count_trees": ("enumerator", "count_trees"),
     "decode": ("codec", "decode"),
@@ -49,7 +47,7 @@ _EXPORTS = {
     "leaf": ("trees", "leaf"),
     "min_binary_numbers": ("extremal", "min_binary_numbers"),
     "min_binary_tree": ("extremal", "min_binary_tree"),
-    "params": ("trees", "params"),
+    "params": ("treetext", "params"),
     "parse": ("treetext", "parse"),
     "serialize": ("treetext", "serialize"),
     "set_default_oracle": ("primes", "set_default_oracle"),

@@ -130,12 +130,14 @@ def _cmd_encode(args):
     from .codec import encode
 
     if args.tree == "-":
-        texts = [line.strip() for line in sys.stdin if line.strip()]
+        # Lazily, and flushed below, so each line is answered as it arrives.
+        texts = (text for text in map(str.strip, sys.stdin) if text)
     else:
         texts = [args.tree]
     for text in texts:
         n = encode(treetext.parse(text))
         _emit(args, {"matula": str(n)}, str(n))
+        sys.stdout.flush()
     return 0
 
 
@@ -154,16 +156,12 @@ def _cmd_decode(args):
 
 
 def _cmd_params(args):
-    from . import treetext
     from .codec import decode
-    from .trees import params
+    from .treetext import params
 
     raw = args.tree_or_number.strip()
-    if raw.isdecimal():
-        t = decode(int(raw))
-    else:
-        t = treetext.parse(raw)
-    p = params(t)
+    # Text is read for its shape alone: no Tree is built and no prime asked.
+    p = params(decode(int(raw)) if raw.isdecimal() else raw)
     plain = (
         f"vertices={p.vertices} leaves={p.leaves} height={p.height} "
         f"max_outdegree={p.max_outdegree} "

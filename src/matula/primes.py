@@ -81,8 +81,11 @@ _WINDOW_SPAN = 1 << 17
 # Entries of the per-oracle memo of answers past the prefix.
 _FAR_MEMO_SIZE = 4096
 
-# Strong-pseudoprime witnesses proven sufficient for n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes as strong-pseudoprime witnesses.  The bound is
+# psi_13, the least composite that passes all thirteen (J. Sorenson and
+# J. Webster, Math. Comp. 86, 2017); the first twelve stop at psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_CERTIFIED_BOUND = 3_317_044_064_679_887_385_961_981
 
 # Past the certified bound a failed witness still proves n composite, so rho
@@ -152,8 +155,9 @@ def _ln_prime_bounds(lo, hi):
 def is_prime_certified(n: int) -> bool:
     """Deterministic primality check (strong pseudoprime test, fixed witnesses).
 
-    Certified for n up to 3.3 * 10^24, the least composite that passes every
-    witness.  Below the square of that bound a failed witness still proves
+    Certified below 3.3 * 10^24: the witnesses are the first thirteen primes,
+    2 to 41, and the least composite that passes them all is that bound,
+    psi_13.  Below the square of that bound a failed witness still proves
     n composite (False).  Any other n raises FactorOutOfRange, since this
     package never reports uncertified primality.
     """

@@ -1,9 +1,11 @@
-"""Canonical rooted-tree values and their structural parameters.
+"""Canonical rooted-tree values and their order by Matula number.
 
 A ``Tree`` is an immutable recursive value: a node is nothing but the tuple
 of its child subtrees, kept in canonical order (ascending Matula number).
 Canonical order makes structural equality coincide with rooted-tree
 isomorphism, so deduplication and serialization are trivial downstream.
+Shape alone (classes, sizes, ``TreeParams``) needs no value; ``treetext``
+reads it from the text.
 
 Ordering by Matula number is arithmetic, not structural.  Every tree is
 valued once, when it is built, under the oracle in force then: its exact
@@ -15,7 +17,6 @@ the one walk, which can raise IndexOutOfRange for astronomically deep
 inputs.  That failure is deliberate and loud.  No walk over a tree recurses.
 """
 
-from collections import namedtuple
 from enum import Enum
 from functools import cmp_to_key
 from math import log, prod
@@ -168,80 +169,7 @@ def star(n: int) -> Tree:
     return Tree([_LEAF] * n)
 
 
-def apply_merge(t: Tree) -> Tree:
-    """Merge the two smallest branches of t under a new joint branch.
-
-    Preserves the leaf count and strictly increases the Matula number: the
-    merged branch contributes p_{p_a p_b}, which exceeds the p_a p_b it
-    replaces.  Requires at least three branches.
-    """
-    if len(t.children) < 3:
-        raise DomainError(f"branch merge needs >= 3 branches, got {len(t.children)}")
-    first, second, *rest = t.children
-    return join(join(first, second), *rest)
-
-
 class TreeClass(Enum):
     ROOTED = "rooted"
     TOPOLOGICAL = "topological"
     BINARY = "binary"
-
-
-def classify(t: Tree) -> set:
-    """The classes t belongs to: rooted always, topological when no vertex
-    has outdegree 1, binary when every outdegree is 0 or 2."""
-    outdegrees = set(params(t).outdegree_multiset)
-    out = {TreeClass.ROOTED}
-    if 1 not in outdegrees:
-        out.add(TreeClass.TOPOLOGICAL)
-    if outdegrees <= {0, 2}:
-        out.add(TreeClass.BINARY)
-    return out
-
-
-class TreeParams(namedtuple(
-    "TreeParams", "vertices leaves height max_outdegree outdegree_multiset wiener"
-)):
-    """Structural parameters of a rooted tree.
-
-    ``outdegree_multiset`` is the sorted tuple of all vertex outdegrees and
-    ``wiener`` the sum of distances over unordered vertex pairs.
-    """
-
-    __slots__ = ()
-
-
-def params(t: Tree) -> TreeParams:
-    """Extract TreeParams from one pre-order walk and its reverse.
-
-    The Wiener index is computed by edge decomposition: every edge splits
-    the tree into parts of sizes s and V - s and contributes s * (V - s)
-    pairs at distance crossing it.
-    """
-    # Pre-order from an explicit stack, so in reverse every vertex follows
-    # its children.  Sizes are keyed by node identity, because equal
-    # subtrees may be one shared object.
-    order = []
-    height = 0
-    stack = [(t, 0)]
-    while stack:
-        node, depth = stack.pop()
-        order.append(node)
-        height = max(height, depth)
-        stack.extend((child, depth + 1) for child in node.children)
-    size = {}
-    for node in reversed(order):
-        size[id(node)] = 1 + sum(size[id(child)] for child in node.children)
-    vertices = len(order)
-    outdegrees = [len(node.children) for node in order]
-    # The root's own entry contributes V * 0, so no edge is miscounted by
-    # summing over every vertex.
-    wiener = sum(size[id(node)] * (vertices - size[id(node)]) for node in order)
-    return TreeParams(
-        vertices=vertices,
-        leaves=outdegrees.count(0),
-        height=height,
-        max_outdegree=max(outdegrees),
-        outdegree_multiset=tuple(sorted(outdegrees)),
-        wiener=wiener,
-    )

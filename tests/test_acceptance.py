@@ -9,7 +9,6 @@ import time
 from matula import (
     IndexOutOfRange,
     TreeClass,
-    apply_merge,
     binary_caterpillar,
     caterpillar_numbers,
     check_caterpillar_inequality,
@@ -18,6 +17,7 @@ from matula import (
     enumerate_trees,
     extremal_tree,
     gi_max_tree,
+    join,
     min_binary_numbers,
     min_binary_tree,
     parse,
@@ -232,7 +232,9 @@ def test_c11_merge_transformation():
         for t in enumerate_trees(TreeClass.TOPOLOGICAL, n):
             if len(t.children) < 3:
                 continue
-            merged = apply_merge(t)
+            # Merge the two smallest branches under a new joint branch.
+            first, second, *rest = t.children
+            merged = join(join(first, second), *rest)
             checked += 1
             before = encode(t)
             after = encode(merged)

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from functools import reduce
 from contextlib import redirect_stderr, redirect_stdout
 from math import log
@@ -46,6 +47,32 @@ def test_encode_from_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "encode", "-")
     assert code == 0
     assert out == "1\n4\n42\n"
+
+
+def test_encode_from_stdin_answers_each_line_as_it_arrives():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "matula.cli", "encode", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        proc.stdin.write("((*),(*,*),*)\n")
+        proc.stdin.flush()
+        # The first answer must come back while stdin is still open.
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(proc.stdout.readline()), daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        assert answers == ["42\n"]
+        proc.stdin.write("(*,*)\n")
+        proc.stdin.close()
+        assert proc.stdout.read() == "4\n"
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
 
 
 def test_decode_one(capsys):
@@ -471,7 +498,7 @@ _CAPPED = [["seq", "q"], ["seq", "l"], ["verify", "lemma1"]]
           for which in "ql"],
     ],
     ids=["gi-max-4", "min-topological-1", "max-topological-0", "past-the-cap",
-         "prime-bounds-1", "min-binary-95", *(f"{verb}-3-under-{c}" for verb, c in _TOO_LOW),
+         "prime-bounds-1", "min-binary-30-under-1000", *(f"{verb}-3-under-{c}" for verb, c in _TOO_LOW),
          "seq-q-past-the-cap", "seq-l-past-the-cap", "lemma1-past-the-cap",
          "seq-q-3-under-5", "seq-l-3-under-5"],
 )
@@ -733,14 +760,16 @@ def test_prime_stream_past_the_prefix_in_bounded_memory():
 
 
 def test_decode_of_a_semiprime_past_the_ceiling_is_a_range_error():
-    # Both factors lie past the 2^32 ceiling: 1811095800043 * 1811096800063,
-    # and 1287836182261 * 2575672364521, the least strong pseudoprime to all
-    # twelve Miller-Rabin witnesses.  Rho splits each in about a second;
-    # trial division toward the square root took minutes.  Past a ceiling of
-    # 100, 101 * 103 and 101^3 are split at once.
+    # Both factors lie past the 2^32 ceiling: 1811095800043 * 1811096800063;
+    # 1287836182261 * 2575672364521, the least strong pseudoprime to all
+    # thirteen Miller-Rabin witnesses; and 399165290221 * 798330580441, the
+    # least to the first twelve.  Rho splits each in about a second; trial
+    # division toward the square root took minutes.  Past a ceiling of 100,
+    # 101 * 103 and 101^3 are split at once.
     for n, past, ceiling in [
         (3280069808065416197802709, 2, 2**32),
         (3317044064679887385961981, 2, 2**32),
+        (318665857834031151167461, 2, 2**32),
         (101 * 103, 2, 100),
         (101**3, 3, 100),
     ]:

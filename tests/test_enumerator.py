@@ -7,11 +7,11 @@ from matula import (
     SizeTooLarge,
     Tree,
     TreeClass,
-    classify,
     count_trees,
     encode,
     enumerate_trees,
     leaf,
+    params,
     serialize,
 )
 from matula.enumerator import _ascending_partitions
@@ -93,10 +93,10 @@ def test_stream_is_sorted_by_serialization():
 
 def test_class_and_size_soundness():
     for t in enumerate_trees(TreeClass.TOPOLOGICAL, 6):
-        assert TreeClass.TOPOLOGICAL in classify(t)
+        assert 1 not in params(t).outdegree_multiset
         assert sum(1 for _ in _leaves(t)) == 6
     for t in enumerate_trees(TreeClass.BINARY, 7):
-        assert TreeClass.BINARY in classify(t)
+        assert set(params(t).outdegree_multiset) == {0, 2}
     for t in enumerate_trees(TreeClass.ROOTED, 6):
         assert _vertex_count(t) == 6
 

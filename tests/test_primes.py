@@ -806,11 +806,18 @@ def test_published_primes_lie_inside_the_tightest_bounds():
 
 
 def test_factorize_splits_the_least_strong_pseudoprime_to_every_witness():
-    # 3317044064679887385961981 passes all twelve witnesses yet is composite,
-    # so rho splits it, where a probable prime past it is refused.
+    # 3317044064679887385961981 passes all thirteen witnesses yet is
+    # composite, so rho splits it, where a probable prime past it is refused.
     p, q = 1_287_836_182_261, 2_575_672_364_521
     assert p * q == primes._MR_CERTIFIED_BOUND
     assert PrimeOracle(limit_value=2**42).factorize(p * q) == [(p, 1), (q, 1)]
+
+
+def test_the_least_strong_pseudoprime_to_twelve_bases_is_not_certified():
+    # psi_12 passes the first twelve prime bases, 2 to 37; base 41 exposes it.
+    p, q = 399_165_290_221, 798_330_580_441
+    assert not is_prime_certified(p * q)
+    assert PrimeOracle(limit_value=2**40).factorize(p * q) == [(p, 1), (q, 1)]
 
 
 def test_shared_oracle_under_threads(monkeypatch):

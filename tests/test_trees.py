@@ -10,10 +10,7 @@ from matula import (
     DomainError,
     IndexOutOfRange,
     Tree,
-    TreeClass,
-    apply_merge,
     binary_caterpillar,
-    classify,
     compare_matula,
     encode,
     join,
@@ -265,49 +262,6 @@ def test_ln_prime_bounds_contain_ln_p():
         if m > 20:  # an interval on ln m bounds ln p_m for every m inside it
             lo, hi = _ln_prime_bounds(log(m) - 1e-3, log(m) + 1e-3)
             assert lo <= x <= hi, m
-
-
-def test_apply_merge_star3():
-    merged = apply_merge(star(3))
-    assert merged == join(join(leaf(), leaf()), leaf())
-    assert encode(merged) == 14
-
-
-def test_apply_merge_star4():
-    merged = apply_merge(star(4))
-    # Branches: the merged cherry plus the two remaining leaves.
-    assert encode(merged) == 28
-    assert encode(merged) > encode(star(4)) == 16
-
-
-def test_apply_merge_needs_three_branches():
-    with pytest.raises(DomainError, match="branch merge needs >= 3 branches, got 2"):
-        apply_merge(join(leaf(), leaf()))
-
-
-def test_apply_merge_preserves_leaves():
-    t = join(star(2), leaf(), join(leaf()), star(3))
-    assert params(apply_merge(t)).leaves == params(t).leaves
-
-
-def test_classify():
-    assert classify(binary_caterpillar(5)) == {
-        TreeClass.ROOTED,
-        TreeClass.TOPOLOGICAL,
-        TreeClass.BINARY,
-    }
-    assert classify(star(3)) == {TreeClass.ROOTED, TreeClass.TOPOLOGICAL}
-    assert classify(join(leaf())) == {TreeClass.ROOTED}
-    assert classify(leaf()) == {
-        TreeClass.ROOTED,
-        TreeClass.TOPOLOGICAL,
-        TreeClass.BINARY,
-    }
-    # No walk recurses: a 5000-deep caterpillar, and the same below a
-    # vertex of outdegree 1.
-    deep = binary_caterpillar(5000)
-    assert classify(deep) == {TreeClass.ROOTED, TreeClass.TOPOLOGICAL, TreeClass.BINARY}
-    assert classify(join(leaf(), join(deep))) == {TreeClass.ROOTED}
 
 
 def test_params_of_worked_example():

@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 
@@ -12,12 +13,17 @@ from matula import (
     encode,
     join,
     leaf,
+    min_binary_tree,
+    params,
     parse,
+    primes,
     serialize,
+    set_default_oracle,
     star,
     to_dot,
 )
 
+from oracles import bfs_params
 from test_trees import deep_path, small_trees
 
 
@@ -72,16 +78,69 @@ _SYNTAX_ERRORS = [
     ids=[f"{text}-{offset}" for text, offset, _ in _SYNTAX_ERRORS],
 )
 def test_syntax_errors_carry_offsets(text, offset, expected):
-    with pytest.raises(TreeSyntaxError) as err:
-        parse(text)
-    assert err.value.offset == offset
-    assert err.value.expected == expected
+    for read in (parse, params):
+        with pytest.raises(TreeSyntaxError) as err:
+            read(text)
+        assert err.value.offset == offset
+        assert err.value.expected == expected
 
 
 def test_round_trip_small_numbers():
     for n in range(1, 3000):
         t = decode(n)
         assert parse(serialize(t)) == t
+        assert params(t) == params(serialize(t))
+
+
+class _Shape:
+    """A rooted tree as a plain object, built without the package."""
+
+    def __init__(self):
+        self.children = []
+
+
+def _random_shape(rng, vertices):
+    """Each new vertex hangs below the last one or a uniformly chosen
+    earlier one, so shapes mix long paths with wide vertices."""
+    nodes = [_Shape()]
+    for _ in range(vertices - 1):
+        parent = nodes[-1] if rng.random() < 0.4 else rng.choice(nodes)
+        parent.children.append(_Shape())
+        nodes.append(parent.children[-1])
+    return nodes[0]
+
+
+def _shuffled_text(rng, shape):
+    """Tree text of a shape, each vertex's children in random order."""
+    if not shape.children:
+        return "*"
+    texts = [_shuffled_text(rng, child) for child in shape.children]
+    rng.shuffle(texts)
+    return "(" + ",".join(texts) + ")"
+
+
+@pytest.mark.parametrize("limit_value", [71, 1000])
+def test_params_of_text_match_bfs_under_small_ceilings(ceiling, limit_value):
+    # Under these ceilings parse refuses some of these texts, for want of a
+    # prime past the ceiling; their shape needs none.
+    ceiling(limit_value)
+    rng = random.Random(limit_value)
+    for _ in range(200):
+        shape = _random_shape(rng, rng.randint(1, 60))
+        assert params(_shuffled_text(rng, shape))._asdict() == bfs_params(shape)
+
+
+def test_params_of_text_create_no_oracle(ceiling):
+    # 766 leaves in two branches of 383 whose exact comparison needs a prime
+    # index past the default ceiling.
+    text = "(({},{}),({},{}))".format(
+        *(serialize(min_binary_tree(k)) for k in (127, 256, 128, 255))
+    )
+    ceiling()  # brings the session's oracle back when the test ends
+    set_default_oracle(None)
+    p = params(text)
+    assert (p.vertices, p.leaves, p.height, p.max_outdegree) == (1531, 766, 10, 2)
+    assert primes._default_oracle is None
 
 
 @settings(max_examples=80, deadline=None)
