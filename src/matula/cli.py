@@ -28,6 +28,7 @@ from .errors import (
     MatulaError,
     SizeTooLarge,
     ValueOutOfRange,
+    brief,
 )
 
 _RANGE_ERRORS = (IndexOutOfRange, ValueOutOfRange, FactorOutOfRange, SizeTooLarge)
@@ -272,7 +273,7 @@ def _topological_stars(n):
     from .trees import star
 
     if n < 2:
-        raise DomainError(f"a topological star needs n >= 2 leaves, got {n}")
+        raise DomainError(f"a topological star needs n >= 2 leaves, got {brief(n)}")
     return [star(s) for s in range(2, n + 1)]
 
 
@@ -320,7 +321,7 @@ def _verify_prime_bounds(args):
 
     m_max = args.max_m
     if m_max < 2:
-        raise DomainError(f"--max-m must be >= 2, got {m_max}")
+        raise DomainError(f"--max-m must be >= 2, got {brief(m_max)}")
     # The primes stream past in chunks, so memory stays bounded for any m_max.
     stream = islice(primes.default_oracle().primes_up_to_index(m_max), 1, None)
     failures = 0
@@ -402,7 +403,7 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except _RANGE_ERRORS as exc:
         detail = getattr(exc, "index", None)
-        where = f" (offending index {detail})" if detail is not None else ""
+        where = f" (offending index {brief(detail)})" if detail is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3
     except MatulaError as exc:

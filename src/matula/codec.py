@@ -8,7 +8,7 @@ machine-scale, and the oracle errors identify the smallest infeasible
 subtree when they do not.  Decoded trees belong to the default oracle.
 """
 
-from .errors import MatulaError
+from .errors import MatulaError, brief
 from .primes import default_oracle
 from .trees import Tree, leaf, matula_number
 
@@ -26,7 +26,7 @@ def encode(t: Tree) -> int:
 def decode(n: int) -> Tree:
     """The unique canonical tree whose Matula number is n."""
     if n < 1:
-        raise MatulaError(f"Matula numbers start at 1, got {n}")
+        raise MatulaError(f"Matula numbers start at 1, got {brief(n)}")
     return _decode(n)
 
 

@@ -25,7 +25,7 @@ are immutable values).
 
 from itertools import chain, combinations_with_replacement, groupby, product
 
-from .errors import DomainError, SizeTooLarge
+from .errors import DomainError, SizeTooLarge, brief
 from .treetext import serialize
 from .trees import TreeClass, join, leaf
 
@@ -40,9 +40,9 @@ _COUNT_CAP = 2000
 
 def _validate(tree_class, size, cap):
     if size < 1:
-        raise DomainError(f"size must be >= 1, got {size}")
+        raise DomainError(f"size must be >= 1, got {brief(size)}")
     if size > cap:
-        raise SizeTooLarge(f"{tree_class.value} size {size} exceeds cap {cap}", size, cap)
+        raise SizeTooLarge(f"{tree_class.value} size {brief(size)} exceeds cap {cap}", size, cap)
 
 
 def _ascending_partitions(n):

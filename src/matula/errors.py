@@ -1,4 +1,26 @@
-"""Exception hierarchy shared by all matula modules."""
+"""Exception hierarchy shared by all matula modules, and the one way their
+messages show an integer."""
+
+# Integers of more digits are shown by their ends and their digit count.
+_SHOWN_DIGITS = 60
+_END_DIGITS = 10
+
+
+def brief(n: int) -> str:
+    """n in decimal while it has at most 60 digits, else its first and last
+    ten digits and its digit count, as in ``1111111111...1111111111 (5000
+    digits)``.  The whole of n is never converted, so a message stays short
+    and within Python's limit on int-to-str conversion."""
+    a = abs(n)
+    digits = max(1, int((a.bit_length() - 1) * 0.30102999566398120))  # log10 2; at most the count
+    power = 10**digits
+    while power <= a:
+        digits += 1
+        power *= 10
+    if digits <= _SHOWN_DIGITS:
+        return str(n)
+    head, tail = a // 10 ** (digits - _END_DIGITS), a % 10**_END_DIGITS
+    return f"{'-' if n < 0 else ''}{head}...{tail:0{_END_DIGITS}d} ({digits} digits)"
 
 
 class MatulaError(Exception):

@@ -35,7 +35,7 @@ bounds overlap.
 
 from collections import namedtuple
 
-from .errors import DomainError, IndexOutOfRange, SizeTooLarge
+from .errors import DomainError, IndexOutOfRange, SizeTooLarge, brief
 from .trees import Tree, TreeClass, compare_matula, join, leaf, matula_number
 
 # Largest size of the certificate, the sequences and the inequality.  At
@@ -76,9 +76,9 @@ def _numbers(which, k_max):
 def _check_size(n, least=1):
     """Refuse a size below ``least`` or past ``SIZE_CAP``."""
     if n < least:
-        raise DomainError(f"size must be >= {least}, got {n}")
+        raise DomainError(f"size must be >= {least}, got {brief(n)}")
     if n > SIZE_CAP:
-        raise SizeTooLarge(f"extremal size {n} exceeds cap {SIZE_CAP}", n, SIZE_CAP)
+        raise SizeTooLarge(f"extremal size {brief(n)} exceeds cap {SIZE_CAP}", n, SIZE_CAP)
 
 
 def _balanced_split(k):
@@ -100,7 +100,7 @@ def _family(which, n):
     one leaf made a cherry, so M(T_k) increases with k and each split
     a <= b is already in canonical order."""
     if n < 1:
-        raise DomainError(f"size must be >= 1, got {n}")
+        raise DomainError(f"size must be >= 1, got {brief(n)}")
     trees = [None, leaf()]
     for k in range(2, n + 1):
         a, b = _SPLITS[which](k)
@@ -128,7 +128,7 @@ def gi_max_tree(n: int) -> Tree:
 def _gi_trees(n):
     """[G_5 .. G_n], the Gutman-Ivic trees, each the root over the last."""
     if n < 5:
-        raise DomainError(f"the construction needs n >= 5 vertices, got {n}")
+        raise DomainError(f"the construction needs n >= 5 vertices, got {brief(n)}")
     trees = [Tree((Tree((leaf(),) * 3),))]
     for _ in range(n - 5):
         trees.append(Tree((trees[-1],)))

@@ -25,9 +25,8 @@ prefix is sieved by the table's primes.  Past the prefix no table is kept:
   it then certifies the cofactor by Miller-Rabin or splits it by
   Pollard-Brent rho alone.
 
-So the ceiling bounds run time, not memory.  Answers past the prefix are
-kept in one small bounded memo per oracle, for the checks of Lemma 1: their
-left sides share the caterpillar C_8, whose prime lies past the prefix.
+So the ceiling bounds run time, not memory.  No answer past the prefix is
+kept: a tree keeps the primes of its branches on its own nodes (``trees``).
 
 Every proven bound on p_m that the package trusts is a row of ``_BOUNDS``.
 """
@@ -35,7 +34,7 @@ Every proven bound on p_m that the package trusts is a row of ``_BOUNDS``.
 import threading
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, groupby, islice
 from math import exp, gcd, isqrt, log, prod
 
@@ -47,6 +46,7 @@ from .errors import (
     MatulaError,
     NotPrime,
     ValueOutOfRange,
+    brief,
 )
 
 DEFAULT_PRIME_BOUND = 2**32
@@ -77,9 +77,6 @@ _SEGMENT_SPAN = 1 << 23
 # 5 * 10^5 (four windows) at 2^32 and 6.7 * 10^6 (51 windows) at 2^36.  Bulk
 # walks past the prefix use _SEGMENT_SPAN, which costs less per value.
 _WINDOW_SPAN = 1 << 17
-
-# Entries of the per-oracle memo of answers past the prefix.
-_FAR_MEMO_SIZE = 4096
 
 # The first thirteen primes as strong-pseudoprime witnesses.  The bound is
 # psi_13, the least composite that passes all thirteen (J. Sorenson and
@@ -142,7 +139,6 @@ def _factors(row, ln_ms, ln_ln_ms):
     return [x + y - 1 + (y - c) / x if second else x + y - c for x, y in zip(ln_ms, ln_ln_ms)]
 
 
-@lru_cache(maxsize=1 << 12)
 def _ln_prime_bounds(lo, hi):
     """The tightest bounds (lower, upper) on ln p_m for every m with lo <= ln m
     <= hi, where m >= 20.  Unwidened against float rounding."""
@@ -192,7 +188,7 @@ def is_prime_certified(n: int) -> bool:
 
 def _uncertifiable(n):
     return FactorOutOfRange(
-        f"cannot certify primality of {n} (beyond deterministic witness range)",
+        f"cannot certify primality of {brief(n)} (beyond deterministic witness range)",
         value=n,
     )
 
@@ -316,7 +312,7 @@ class PrimeOracle:
     """Prime queries under a hard value ceiling, over a sieved prefix cache.
 
     Read queries are safe for concurrent use once the covering segment
-    exists; table extension and the memo past the prefix are serialized
+    exists; table extension and the walks past the prefix are serialized
     internally, so one oracle can be shared across parallel workers.
     """
 
@@ -325,7 +321,9 @@ class PrimeOracle:
             limit_value = DEFAULT_PRIME_BOUND
         cap = _PREFIX_CAP**2  # so every base prime lies in the table
         if not _LEAST_CEILING <= limit_value <= cap:
-            raise ValueError(f"limit_value must be in [{_LEAST_CEILING}, {cap}], got {limit_value}")
+            raise ValueError(
+                f"limit_value must be in [{_LEAST_CEILING}, {cap}], got {brief(limit_value)}"
+            )
         self._limit_value = int(limit_value)
         self._lock = threading.RLock()
         bootstrap = min(_BOOTSTRAP, self._limit_value)
@@ -334,7 +332,6 @@ class PrimeOracle:
         self._sieved_to = bootstrap + 1  # every value below this is settled
         # The table never covers values at or past this.
         self._prefix_end = min(self._limit_value, _PREFIX_CAP) + 1
-        self._far = {}  # ("nth", m) -> p_m and ("pi", x) -> pi(x) past the prefix
         self._decode_memo = {}  # Matula number -> tree, kept by codec.decode
 
     def __repr__(self):
@@ -412,14 +409,9 @@ class PrimeOracle:
                 hi, found = next(windows)
             yield count + bisect_right(found, v)
 
-    def _remember(self, key, value):
-        if len(self._far) >= _FAR_MEMO_SIZE:
-            del self._far[next(iter(self._far))]
-        self._far[key] = value
-
     def _refusal(self, m):
         return IndexOutOfRange(
-            f"prime index {m} is not answerable under ceiling "
+            f"prime index {brief(m)} is not answerable under ceiling "
             f"{self._limit_value}; raise the bound or abandon",
             index=m,
             limit_value=self._limit_value,
@@ -430,9 +422,6 @@ class PrimeOracle:
         on p_m, counted by Meissel's formula (``_count_past_prefix``), then
         sieved windows upwards from x0 until the count is m.  p_m > x0, so
         m is refused when x0 or the walk reaches the ceiling first."""
-        p = self._far.get(("nth", m))
-        if p is not None:
-            return p
         lower, _ = _ln_prime_bounds(log(m), log(m))
         x0 = max(int(exp(lower) * (1 - _WIDEN)), _PREFIX_CAP)
         if x0 >= self._limit_value:
@@ -446,10 +435,7 @@ class PrimeOracle:
             count += len(found)
         else:
             raise self._refusal(m)
-        p = found[m - count - 1]
-        self._remember(("nth", m), p)
-        self._remember(("pi", p), m)
-        return p
+        return found[m - count - 1]
 
     # -- queries -----------------------------------------------------------
 
@@ -479,7 +465,7 @@ class PrimeOracle:
     def nth_prime(self, m: int) -> int:
         """The m-th prime (p_1 = 2); IndexOutOfRange beyond the ceiling."""
         if m < 1:
-            raise DomainError(f"prime indices start at 1, got {m}")
+            raise DomainError(f"prime indices start at 1, got {brief(m)}")
         p = self._prefix_prime(m)
         if p is not None:
             return p
@@ -493,12 +479,12 @@ class PrimeOracle:
         """The m with nth_prime(m) == p; total inverse on primes in range."""
         if p > self._limit_value:
             raise ValueOutOfRange(
-                f"{p} exceeds the oracle ceiling {self._limit_value}",
+                f"{brief(p)} exceeds the oracle ceiling {self._limit_value}",
                 value=p,
                 limit_value=self._limit_value,
             )
         if p < 2:
-            raise NotPrime(f"{p} is below the first prime", value=p)
+            raise NotPrime(f"{brief(p)} is below the first prime", value=p)
         if p < self._prefix_end:
             with self._lock:
                 self._extend_to_value(p + 1)
@@ -507,14 +493,14 @@ class PrimeOracle:
                     return i + 1
         elif is_prime_certified(p):
             return self.prime_count(p)
-        raise NotPrime(f"{p} is composite", value=p)
+        raise NotPrime(f"{brief(p)} is composite", value=p)
 
     def prime_count(self, x: int) -> int:
         """pi(x): the number of primes <= x, from the table inside the
         prefix and by Meissel's formula past it."""
         if x > self._limit_value:
             raise ValueOutOfRange(
-                f"{x} exceeds the oracle ceiling {self._limit_value}",
+                f"{brief(x)} exceeds the oracle ceiling {self._limit_value}",
                 value=x,
                 limit_value=self._limit_value,
             )
@@ -524,11 +510,7 @@ class PrimeOracle:
             if x < self._prefix_end:
                 self._extend_to_value(x + 1)
                 return bisect_right(self._primes, x)
-            count = self._far.get(("pi", x))
-            if count is None:
-                count = self._count_past_prefix(x)
-                self._remember(("pi", x), count)
-            return count
+            return self._count_past_prefix(x)
 
     def primes_up_to_index(self, m: int):
         """The first m primes in ascending order, as a generator.
@@ -569,7 +551,7 @@ class PrimeOracle:
           (``cofactor`` is that cofactor).
         """
         if n < 1:
-            raise DomainError(f"factorize needs n >= 1, got {n}")
+            raise DomainError(f"factorize needs n >= 1, got {brief(n)}")
         runs = self._runs
         if runs is None:  # a racing first call builds the same runs
             runs = self._runs = self._trial_runs()
@@ -639,14 +621,14 @@ class PrimeOracle:
             if d is None:
                 raise FactorOutOfRange(
                     f"Pollard-Brent rho found no factor of the composite cofactor "
-                    f"{c} of {n} within {_RHO_BUDGET} steps",
+                    f"{brief(c)} of {brief(n)} within {_RHO_BUDGET} steps",
                     value=n,
                     cofactor=c,
                 )
             stack += (d, c // d)
         if past > 1:
             raise FactorOutOfRange(
-                f"cofactor {above} of {n} has {past} prime factors past the "
+                f"cofactor {brief(above)} of {brief(n)} has {past} prime factors past the "
                 f"ceiling {self._limit_value}",
                 value=n,
                 cofactor=above,
@@ -675,7 +657,7 @@ def set_default_oracle(oracle):
     """Replace the shared oracle (None resets to lazy re-creation).
 
     Its ceiling applies to every later call; the old oracle's decoded trees
-    go with it.  Trees keep the Matula numbers and bounds they have memoized,
+    go with it.  Trees keep the numbers, bounds and branch terms they memoized,
     so one built under the old oracle may report a number the new one refuses.
     """
     global _default_oracle

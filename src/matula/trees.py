@@ -9,26 +9,27 @@ reads it from the text.
 
 Ordering by Matula number is arithmetic, not structural.  Every tree is
 valued once, when it is built, under the oracle in force then: its exact
-Matula number while the prime of every branch number lies in that oracle's
-sieved prefix, else rigorous bounds on ln M from the proven bounds on p_m
-in ``primes._BOUNDS``.  Nodes compare by exact numbers, else by disjoint
-bounds; overlapping bounds of different trees fall back to ``matula_number``,
-the one walk, which can raise IndexOutOfRange for astronomically deep
-inputs.  That failure is deliberate and loud.  No walk over a tree recurses.
+Matula number while the prime of every branch number is known, else
+rigorous bounds on ln M from the proven bounds on p_m in ``primes._BOUNDS``.
+A node keeps the term it gives parents: its prime, or bounds on its log.
+Nodes compare by exact numbers, else by disjoint bounds; overlapping bounds
+of different trees fall back to ``matula_number``, the one walk, which can
+raise IndexOutOfRange for astronomically deep inputs.  That failure is
+deliberate and loud.  No walk over a tree recurses.
 """
 
 from enum import Enum
 from functools import cmp_to_key
 from math import log, prod
 
-from .errors import DomainError, IndexOutOfRange
+from .errors import DomainError, IndexOutOfRange, brief
 from .primes import _WIDEN, _ln_prime_bounds, default_oracle
 
 
 class Tree:
     """A rooted tree in canonical form; use leaf() and join() to build."""
 
-    __slots__ = ("children", "_mnum", "_lnm", "_hash")
+    __slots__ = ("children", "_mnum", "_lnm", "_term", "_hash")
 
     def __init__(self, children=(), _matula=None):
         # Callers must pass children already in canonical order; the public
@@ -37,27 +38,33 @@ class Tree:
         self.children = tuple(children)
         self._mnum = _matula if _matula is not None else (1 if not children else None)
         self._lnm = None  # bounds (lo, hi) on ln M when _mnum is not known
+        self._term = None  # p_M, or bounds (lo, hi) on ln p_M; see _branch_term
         self._hash = hash(self.children)
         if self._mnum is None:
             self._value()
 
     def _value(self):
-        """Set the number while the prime of every branch number lies in the
-        sieved prefix, else bounds on ln M from the branches' values."""
-        get_prime = default_oracle()._prefix_prime
-        primes = [None if c._mnum is None else get_prime(c._mnum) for c in self.children]
-        if None not in primes:
-            self._mnum = prod(primes)
+        """Set the number while every branch's prime is known, else bounds on
+        ln M from the branches' terms; drop the node's own term, now stale."""
+        terms = [c._term or c._branch_term() for c in self.children]
+        self._term = None
+        if tuple not in map(type, terms):
+            self._mnum = prod(terms)
             return
         lo = hi = 0.0
-        for child, p in zip(self.children, primes):
-            if p is None:
-                plo, phi = _ln_prime_bounds(*ln_bounds(child))
-            else:
-                plo = phi = log(p)
+        for term in terms:
+            plo, phi = term if type(term) is tuple else (log(term),) * 2
             lo += plo
             hi += phi
         self._lnm = (lo * (1 - _WIDEN), hi * (1 + _WIDEN))
+
+    def _branch_term(self):
+        """Keep and return p_{M(node)} while it lies in the sieved prefix, else
+        bounds (lo, hi) on ln p_{M(node)}; matula_number keeps far primes."""
+        m = self._mnum
+        p = m and default_oracle()._prefix_prime(m)
+        self._term = term = p or _ln_prime_bounds(*ln_bounds(self))
+        return term
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -118,7 +125,14 @@ def matula_number(t: Tree) -> int:
                 stack.extend(reversed(todo))
                 continue
             if node._mnum is None:
-                node._mnum = prod(nth_prime(c._mnum) for c in node.children)
+                primes = []
+                for c in node.children:
+                    p = c._term
+                    if type(p) is not int:
+                        p = c._term = nth_prime(c._mnum)
+                    primes.append(p)
+                node._term = None  # stale; cleared before _mnum, so no prime is lost
+                node._mnum = prod(primes)
             stack.pop()
     except IndexOutOfRange:
         for node in reversed(stack):  # each node's children lie above it
@@ -165,7 +179,7 @@ def join(*branches: Tree) -> Tree:
 def star(n: int) -> Tree:
     """The star with n leaves attached directly to the root."""
     if n < 1:
-        raise DomainError(f"star needs n >= 1, got {n}")
+        raise DomainError(f"star needs n >= 1, got {brief(n)}")
     return Tree([_LEAF] * n)
 
 

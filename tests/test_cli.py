@@ -534,19 +534,30 @@ def test_verify_prime_bounds(capsys):
 @pytest.fixture
 def nudge():
     """``nudge(name, c)`` sets the constant of the ``primes._BOUNDS`` row
-    ``name`` to c until the test ends.  The memo of bounds on ln p_m is
-    cleared on entry and on exit, so no value computed under one table is
-    read under the other."""
-    primes._ln_prime_bounds.cache_clear()
+    ``name`` to c until the test ends."""
     with pytest.MonkeyPatch.context() as patch:
 
         def install(name, c):
             rows = tuple(row._replace(c=c) if row.name == name else row for row in primes._BOUNDS)
             patch.setattr(primes, "_BOUNDS", rows)
-            primes._ln_prime_bounds.cache_clear()
 
         yield install
-    primes._ln_prime_bounds.cache_clear()
+
+
+@pytest.mark.parametrize("name, c, first", [
+    # Robin 1983: p_k >= k (ln k + ln ln k - 1.0072629) for k >= 2; with 0.95
+    # the bound passes p_257 = 1621.
+    ("lower", 0.95, "m=257 p=1621"),
+    # Rosser and Schoenfeld 1962: p_n < n (ln n + ln ln n - 1/2) for n >= 20;
+    # with 0.55 it falls below p_20 = 71.
+    ("upper", 0.55, "m=20 p=71"),
+])
+def test_verify_prime_bounds_checks_the_quoted_constants(capsys, nudge, name, c, first):
+    nudge(name, c)
+    code, out, _ = run_cli(capsys, "verify", "prime-bounds", "--max-m", "2000")
+    assert code == 4
+    assert out.splitlines()[0] == f"{first} VIOLATES {name} bound"
+    assert out.endswith(" FAILED\n")
 
 
 def test_verify_prime_bounds_checks_dusart(capsys, nudge):
@@ -886,6 +897,15 @@ def test_huge_numbers_are_range_errors(capsys, command):
     with pytest.raises(SystemExit):
         cli.run(["decode", "not-a-number"])
     assert digits_limit() == limit
+
+
+def test_an_error_shows_a_huge_number_by_its_ends(capsys):
+    # The 5000-digit repunit leaves a 4933-digit cofactor that no witness
+    # range certifies; stderr names its digit count instead of its digits.
+    code, out, err = run_cli(capsys, "decode", "1" * 5000)
+    assert (code, out) == (3, "")
+    assert len(err.encode()) < 300 and "(4933 digits)" in err
+    assert err.startswith("error: cannot certify primality of 2051050132...2700944651 ")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")

@@ -19,9 +19,11 @@ from matula import (
     NotPrime,
     PrimeOracle,
     ValueOutOfRange,
+    decode,
     is_prime_certified,
 )
 from matula import _sieve_py, primes
+from matula.errors import brief
 
 from oracles import MonolithicSieve, lucy_count, naive_nth_prime
 
@@ -650,14 +652,6 @@ def test_prime_stream_past_the_prefix_matches_the_sieve(big_sieve):
         assert p == q, k
 
 
-def test_far_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(primes, "_FAR_MEMO_SIZE", 4)
-    oracle = PrimeOracle()
-    for m in range(2_000_000, 2_000_006):
-        assert oracle.prime_index(oracle.nth_prime(m)) == m
-    assert len(oracle._far) <= 4
-
-
 def test_sympy_agrees_past_the_prefix():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(11)
@@ -668,6 +662,57 @@ def test_sympy_agrees_past_the_prefix():
         assert p == sympy.prime(m), m
         x = rng.randrange(2**24, 2**32)
         assert oracle.prime_count(x) == sympy.primepi(x), x
+
+
+def test_certification_past_2_to_the_64_agrees_with_sympy():
+    # Seeded draws in [2^64, 3.3 * 10^24): 100 primes and 100 products of two
+    # primes; then three p q with p < 2^32 < q, split under a 2^40 ceiling.
+    sympy = pytest.importorskip("sympy")
+    from sympy.core.random import rng  # the generator sympy.randprime draws from
+
+    top = 33 * 10**23
+    saved = rng.getstate()
+    rng.seed(32)
+    try:
+        ns = [sympy.randprime(2**64, top) for _ in range(100)]
+        for _ in range(100):
+            p = sympy.randprime(2**17, 2**41)
+            ns.append(p * sympy.randprime(-(-(2**64) // p), top // p))
+        products = [sympy.randprime(2**17, 2**32) * sympy.randprime(2**32, 2**40) for _ in range(3)]
+    finally:
+        rng.setstate(saved)
+    assert all(2**64 <= n < top for n in ns)
+    for n in ns:
+        assert is_prime_certified(n) == sympy.isprime(n), n
+    assert sum(map(is_prime_certified, ns)) == 100
+    oracle = PrimeOracle(limit_value=2**40)
+    for n in products:
+        assert oracle.factorize(n) == sorted(sympy.factorint(n).items()), n
+
+
+def test_huge_integers_raise_typed_errors_with_short_messages():
+    # Past 60 digits a message shows an integer by its ends and its digit
+    # count, so these hold under Python's default limit of 4300 digits on
+    # int-to-str conversion; the errors keep the exact integers.
+    repunit = (10**5000 - 1) // 9
+    shown = r"1000000000\.\.\.0000000000 \(5001 digits\)"
+    cofactor = r"\d{10}\.\.\.\d{10} \(4933 digits\)"
+    with pytest.raises(FactorOutOfRange, match=f"^cannot certify primality of {cofactor} ") as err:
+        decode(repunit)
+    assert repunit % err.value.value == 0
+    with pytest.raises(IndexOutOfRange, match=f"^prime index {shown} is not answerable") as err:
+        PrimeOracle().nth_prime(10**5000)
+    assert err.value.index == 10**5000
+    with pytest.raises(ValueOutOfRange, match=f"^{shown} exceeds the oracle ceiling") as err:
+        PrimeOracle().prime_count(10**5000)
+    assert err.value.value == 10**5000
+
+
+def test_brief_shows_up_to_60_digits_whole():
+    assert brief(10**60 - 1) == "9" * 60
+    assert brief(-(10**59)) == "-1" + "0" * 59
+    assert brief(10**60 + 7) == "1000000000...0000000007 (61 digits)"
+    assert brief(-(2**1000)) == "-1071508607...5668069376 (302 digits)"
 
 
 def _next_prime_by_trial_division(n):
@@ -820,15 +865,13 @@ def test_the_least_strong_pseudoprime_to_twelve_bases_is_not_certified():
     assert PrimeOracle(limit_value=2**40).factorize(p * q) == [(p, 1), (q, 1)]
 
 
-def test_shared_oracle_under_threads(monkeypatch):
-    # More threads than cores, a short switch interval and a memo small
-    # enough to evict while others read it.
-    monkeypatch.setattr(primes, "_FAR_MEMO_SIZE", 8)
+def test_shared_oracle_under_threads():
+    # More threads than cores and a short switch interval.
     indices = [PI_2_24 + k for k in range(0, 4000, 250)]
     reference = PrimeOracle()
     expected = {m: reference.nth_prime(m) for m in indices}
     # A ceiling just past every answer.  No count at the ceiling is kept, so
-    # the threads race on the table, the window walks and the memo.
+    # the threads race on the table and the window walks.
     shared = PrimeOracle(limit_value=17_000_000)
     errors = []
 

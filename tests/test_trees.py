@@ -1,6 +1,9 @@
 import random
+import sys
+import threading
 from decimal import Decimal, localcontext
 from math import log
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from matula import (
     serialize,
     star,
 )
+from matula import primes, trees
 from matula.codec import decode
 from matula.primes import _ln_prime_bounds
 from matula.trees import _WIDEN, ln_bounds, matula_number
@@ -234,6 +238,71 @@ def test_a_read_never_revalues_a_tree(ceiling):
     lo, hi = ln_bounds(t2)
     assert t2 == t1
     assert born[0] < lo and hi < born[1]
+
+
+def test_a_node_works_its_branch_term_out_once(ceiling, monkeypatch):
+    # The prime of C_10's number lies past the ceiling, so C_10 gives each
+    # parent bounds on ln p_{M(C_10)}; they are worked out on its first use.
+    ceiling(2**32)
+    c10 = binary_caterpillar(10)
+    spy = mock.Mock(wraps=_ln_prime_bounds)
+    monkeypatch.setattr(trees, "_ln_prime_bounds", spy)
+    parents = [join(c10, *[leaf()] * k) for k in range(1, 51)]
+    assert spy.call_count == 1
+    assert all(t._lnm is not None for t in parents)
+
+
+def test_a_prime_past_the_prefix_is_kept_on_its_node(ceiling, monkeypatch):
+    # p_8455786 = 150213691, the prime of the caterpillar C_8's number, lies
+    # past the 2^24 prefix: once computed, C_8 gives it to every parent.
+    ceiling(2**32)
+    c8 = binary_caterpillar(8)
+    counted = []
+    count_past_prefix = primes.PrimeOracle._count_past_prefix
+
+    def spy(oracle, x):
+        counted.append(x)
+        return count_past_prefix(oracle, x)
+
+    monkeypatch.setattr(primes.PrimeOracle, "_count_past_prefix", spy)
+    assert matula_number(join(c8, leaf())) == 2 * 150213691
+    assert len(counted) == 1
+    assert matula_number(join(c8, leaf(), leaf())) == 4 * 150213691
+    assert len(counted) == 1
+
+
+def test_shared_nodes_under_threads(ceiling):
+    # Threads build parents over the same nodes, so they race on the nodes'
+    # branch terms; among them C_8, whose prime lies past the prefix.  More
+    # threads than cores and a short switch interval.
+    ceiling(2**32)
+    rng = random.Random(32)
+    shared = [binary_caterpillar(8)] + [decode(n) for n in rng.sample(range(2, 10**6), 15)]
+    reference = primes.PrimeOracle()
+    prime = [reference.nth_prime(matula_number(t)) for t in shared]
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(300):
+                j, k = (i + offset) % len(shared), (7 * i + offset) % len(shared)
+                parent = join(shared[j], leaf(), shared[k])
+                assert matula_number(parent) == 2 * prime[j] * prime[k], (j, k)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
 
 
 def test_deep_trees_compare_without_recursion():
